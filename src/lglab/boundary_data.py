@@ -41,6 +41,8 @@ class PiecewiseConstantBoundary:
     def __init__(self, breakpoints: Sequence[Angle], values: Sequence[float]):
         bps = [b.normalized() for b in breakpoints]
         vals = [float(v) for v in values]
+        if not all(math.isfinite(v) for v in vals):
+            raise DomainError("boundary values must be finite")
         if len(bps) == 0:
             if len(vals) != 1:
                 raise DomainError("constant data needs exactly one value")
@@ -265,9 +267,23 @@ class PiecewiseConstantBoundary:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseConstantBoundary":
-        bps = [Angle(Fraction(p), Fraction(r)) for p, r in d["breakpoints"]]
-        vals = [float(v) for v in d["values"]]
-        return cls(bps, vals)
+        """Inverse of ``to_json_dict``; malformed input raises ``DomainError``."""
+        if not isinstance(d, dict):
+            raise DomainError("boundary data must be a JSON object")
+        bps, vals = d.get("breakpoints"), d.get("values")
+        # a string would iterate as characters, so the lists are checked first
+        if not (
+            isinstance(bps, list)
+            and isinstance(vals, list)
+            and all(isinstance(b, list) and len(b) == 2 for b in bps)
+        ):
+            raise DomainError("need 'breakpoints' as [pi_mult, offset] pairs and 'values' as a list")
+        try:
+            angles = [Angle(Fraction(p), Fraction(r)) for p, r in bps]
+            floats = [float(v) for v in vals]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"malformed boundary data: {exc}") from None
+        return cls(angles, floats)
 
 
 class EvaluableBoundary:

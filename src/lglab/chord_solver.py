@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle_geometry import (
     Angle,
@@ -292,23 +293,30 @@ def config_to_function(config: ChordConfiguration) -> BinaryDiskFunction:
 # ---------------------------------------------------------------------------
 # the interval DP
 
-def _improves(e: float, a: float, best_e: float, best_a: float) -> bool:
-    """Strict improvement in the (energy, area-term) composite; on ties the
-    earlier candidate (smaller split index) survives."""
-    tol = ENERGY_REL_TOL * max(1.0, abs(best_e))
-    if e < best_e - tol:
-        return True
-    if e > best_e + tol:
-        return False
-    return a < best_a - AREA_TOL
+def _pick(e: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Index of the preferred candidate along axis 0, for every column.
+
+    Order-independent composite rule: keep the candidates whose energy is
+    within ``ENERGY_REL_TOL * max(1, |min|)`` of the minimum, among them the
+    ones whose area term is within ``AREA_TOL`` of the smallest, and take
+    the first of those (the smallest split index).
+    """
+    emin = e.min(axis=0)
+    a = np.where(e <= emin + ENERGY_REL_TOL * np.maximum(1.0, np.abs(emin)), a, np.inf)
+    return np.argmax(a <= a.min(axis=0) + AREA_TOL, axis=0)
 
 
 def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     """Minimum-total-chord-length configuration for binary boundary data.
 
     ``mode`` picks the representative among energy ties: "minimal" prefers
-    the smallest label-1 area, "maximal" the largest.  O(m^3) time and
-    O(m^2) space in the number of chords; refuses more than 2000 transitions.
+    the smallest label-1 area, "maximal" the largest; remaining ties go to
+    the smallest split index (see ``_pick``).  The interval DP is filled one
+    half-span ``h`` at a time, all (start, split) pairs of intervals
+    ``(i, i + 2h)`` in one numpy computation, so the Python loop runs m/2
+    times.  The tables are span-major and half-size, ``(m/2 + 1, m + 1)``,
+    about 40 MB at the 2000-transition cap; time stays O(m^3).  Refuses more
+    than 2000 transitions.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -320,30 +328,33 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
         raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
 
     u = np.array([t.angle.normalized().radians for t in trans])
-    rising = [t.rising for t in trans]
-    area_sign = 1.0 if mode == "minimal" else -1.0
+    # area term of chord (i, k): sin(u[k] - u[i]), negated for a rising i,
+    # and negated again in maximal mode so the smallest term always wins
+    sgn = np.where([t.rising for t in trans], -1.0, 1.0)
+    if mode == "maximal":
+        sgn = -sgn
 
-    def cost(i: int, k: int) -> float:
-        return 2.0 * math.sin(0.5 * (u[k] - u[i]))
-
-    def aterm(i: int, k: int) -> float:
-        s = math.sin(u[k] - u[i])
-        return area_sign * (s if not rising[i] else -s)
-
-    E = np.zeros((n + 1, n + 1))
-    A = np.zeros((n + 1, n + 1))
-    K = np.zeros((n + 1, n + 1), dtype=np.int32)
-    for span in range(2, n + 1, 2):
-        for i in range(0, n - span + 1):
-            j = i + span
-            be = ba = math.inf
-            bk = -1
-            for k in range(i + 1, j, 2):
-                e = cost(i, k) + E[i + 1, k] + E[k + 1, j]
-                a = aterm(i, k) + A[i + 1, k] + A[k + 1, j]
-                if bk < 0 or _improves(e, a, be, ba):
-                    be, ba, bk = e, a, k
-            E[i, j], A[i, j], K[i, j] = be, ba, bk
+    # Row h of each table holds the intervals (i, i + 2h) at column i.  For
+    # half-span h, split k = i + 1 + 2t pairs i with k and leaves (i+1, k)
+    # at E[t, i+1] and (k+1, i+2h) at flat index (h-1)(n+1) + 2 + i - t(n-1).
+    half = n // 2
+    E = np.zeros((half + 1, n + 1))
+    A = np.zeros((half + 1, n + 1))
+    K = np.zeros((half + 1, n + 1), dtype=np.int32)
+    E_out = sliding_window_view(E.ravel(), n + 1)
+    A_out = sliding_window_view(A.ravel(), n + 1)
+    u_at = sliding_window_view(np.concatenate((u, np.zeros(n))), n)  # u_at[s, i] = u[s+i]
+    cols = np.arange(n + 1)
+    for h in range(1, half + 1):
+        rows = n - 2 * h + 1
+        d = u_at[1 : 2 * h : 2, :rows] - u[:rows]
+        start = (h - 1) * (n + 1) + 2
+        e = 2.0 * np.sin(0.5 * d) + E[:h, 1 : 1 + rows] + E_out[start :: 1 - n][:h, :rows]
+        a = sgn[:rows] * np.sin(d) + A[:h, 1 : 1 + rows] + A_out[start :: 1 - n][:h, :rows]
+        t = _pick(e, a)
+        E[h, :rows] = e[t, cols[:rows]]
+        A[h, :rows] = a[t, cols[:rows]]
+        K[h, :rows] = cols[1 : 1 + rows] + 2 * t
 
     matching: List[Tuple[int, int]] = []
     work = [(0, n)]
@@ -351,7 +362,7 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
         i, j = work.pop()
         if i >= j:
             continue
-        k = int(K[i, j])
+        k = int(K[(j - i) // 2, i])
         matching.append((i, k))
         work.append((i + 1, k))
         work.append((k + 1, j))
@@ -386,14 +397,13 @@ def _all_matchings(n: int):
 def select_optimal(
     configs: Sequence[ChordConfiguration], mode: str = "minimal"
 ) -> ChordConfiguration:
-    """The representative the DP tie-breaking selects, from an explicit list."""
+    """The representative the DP selects, from an explicit list: ``_pick``
+    over the configurations in matching order."""
     area_sign = 1.0 if mode == "minimal" else -1.0
     ordered = sorted(configs, key=lambda c: c.matching)
-    best = ordered[0]
-    for c in ordered[1:]:
-        if _improves(c.energy, area_sign * c.label_area, best.energy, area_sign * best.label_area):
-            best = c
-    return best
+    e = np.array([c.energy for c in ordered])
+    a = np.array([area_sign * c.label_area for c in ordered])
+    return ordered[int(_pick(e, a))]
 
 
 def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfiguration, ...]:

@@ -44,6 +44,10 @@ def _json_value(v):
         return _fmt(v)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _json_value(x) for k, x in v.items()}
     return str(v)
 
 
@@ -64,6 +68,7 @@ def _report_dict(rep: analysis.ScenarioReport) -> dict:
         "scenario": rep.scenario,
         "seed": rep.seed,
         "version": __version__,
+        "details": _json_value(rep.details),
         "verdicts": [
             {
                 "name": v.name,
@@ -81,6 +86,7 @@ def _merge_reports(name: str, parts: List[analysis.ScenarioReport], seed: int) -
     for part in parts:
         for v in part.verdicts:
             merged.add(f"{part.scenario}: {v.name}", v.value, v.tolerance, v.passed)
+        merged.details[part.scenario] = part.details
     return merged
 
 

@@ -58,6 +58,32 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PCB([], [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            PCB([_pi(0), _pi(1)], [0.0, bad])
+        with pytest.raises(DomainError):
+            PCB.constant(bad)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            [],
+            {"values": ["1"]},
+            {"breakpoints": 5, "values": ["1"]},
+            {"breakpoints": [["1/4"]], "values": ["1"]},
+            {"breakpoints": ["12", "34"], "values": ["0", "1"]},
+            {"breakpoints": [[None, "0"]], "values": ["1"]},
+            {"breakpoints": [["1/4", "0"], ["1", "0"]], "values": "01"},
+            {"breakpoints": [["1/0", "0"], ["1", "0"]], "values": ["0", "1"]},
+            {"breakpoints": [["x", "0"], ["1", "0"]], "values": ["0", "1"]},
+            {"breakpoints": [["0", "0"], ["1", "0"]], "values": ["0", "one"]},
+        ],
+    )
+    def test_from_json_dict_rejects_malformed(self, blob):
+        with pytest.raises(DomainError):
+            PCB.from_json_dict(blob)
+
     def test_from_arcs(self):
         data = PCB.from_arcs([Arc(_pi("1/4"), _pi("3/4"))])
         assert data.value_at(_pi("1/2")) == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from lglab.circle_geometry import Angle, DomainError, cell_area
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import (
     ChordConfiguration,
+    _pick,
     Transition,
     config_energy,
     config_to_function,
@@ -160,6 +162,23 @@ class TestSolverAgainstEnumeration:
     def test_mode_validation(self, caps):
         with pytest.raises(DomainError):
             solve_binary(caps, "fastest")
+
+    def test_pick_is_order_independent(self):
+        # energies within ENERGY_REL_TOL tie; the smaller area term then wins,
+        # and exact area ties go to the first candidate
+        e = np.array([1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.1])
+        a = np.array([0.5, 0.2, 0.2, -1.0])
+        for perm in itertools.permutations(range(4)):
+            chosen = perm[_pick(e[list(perm)], a[list(perm)])]
+            assert chosen == min((1, 2), key=perm.index)
+        cols = np.stack([e, e[::-1]], axis=1), np.stack([a, a[::-1]], axis=1)
+        assert list(_pick(*cols)) == [1, 1]
+        # the window is measured from the minimum, so a chain of near-ties
+        # cannot walk the choice 1.8 tolerances away from it
+        e = np.array([1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12])
+        a = np.array([0.0, -1.0, -2.0])
+        for perm in itertools.permutations(range(3)):
+            assert perm[_pick(e[list(perm)], a[list(perm)])] == 1
 
     def test_caps_tie(self, caps):
         opts = enumerate_optimal(caps)

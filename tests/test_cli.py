@@ -123,6 +123,36 @@ class TestSolve:
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"breakpoints": 5, "values": ["1"]},
+            {"breakpoints": [["1/0", "0"], ["1", "0"]], "values": ["0", "1"]},
+        ],
+    )
+    def test_malformed_json_structured_error(self, tmp_path, blob):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(blob))
+        code, out, err = run(["solve", str(p)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"breakpoints": [["0", "0"], ["1/2", "0"], ["1", "0"]], "values": ["0", "nan", "2"]},
+            {"breakpoints": [["0", "0"], ["1", "0"]], "values": ["0", "inf"]},
+        ],
+    )
+    def test_non_finite_values_structured_error(self, tmp_path, blob):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(blob))
+        code, out, err = run(["solve", str(p)])
+        assert code == 1
+        assert out == ""  # in particular no "bv_energy":"nan" report
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_byte_identical_reports(self, f1_path):
         a = run(["solve", f1_path])[1]
         b = run(["solve", f1_path])[1]
@@ -167,6 +197,15 @@ class TestVerify:
         assert rep["scenario"] == "inequalities"
         assert rep["version"] == __version__
         assert all(set(v) == {"name", "value", "tolerance", "pass"} for v in rep["verdicts"])
+
+    def test_details_are_reported(self):
+        rep = json.loads(run(["verify", "nonlocality"])[1])
+        assert len(rep["details"]["energies"]) == len(rep["details"]["restricted_measures"])
+        assert all(e == format(float(e), ".17g") for e in rep["details"]["energies"])
+
+    def test_merged_details_keyed_by_part(self):
+        rep = json.loads(run(["verify", "inequalities"])[1])
+        assert set(rep["details"]) == {"trapezoid", "sin-meanval"}
 
     def test_byte_identical_runs(self):
         a = run(["verify", "nonlocality"])[1]
