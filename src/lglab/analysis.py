@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .boundary_data import (
     cantor_stage,
     eta_minus,
     eta_plus,
+    kept_arc_measure,
     quantize,
 )
 from .chord_solver import (
@@ -39,7 +40,7 @@ from .chord_solver import (
     solve_binary,
     transitions_of,
 )
-from .level_stack import DEFAULT_SEED, l1_distance, disk_samples
+from .level_stack import DEFAULT_SEED, _as_callable, disk_samples, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
 
@@ -87,14 +88,6 @@ class TraceEstimate:
     starved: bool
 
 
-def _as_evaluator(u) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(u, "evaluate_many"):
-        return u.evaluate_many
-    if callable(u):
-        return u
-    raise DomainError(f"not a disk function: {u!r}")
-
-
 def trace(
     u,
     x,
@@ -116,7 +109,7 @@ def trace(
         raise DomainError("need at least 4 radii to judge stabilization")
     xrad = x.radians if isinstance(x, Angle) else float(x)
     center = np.array([math.cos(xrad), math.sin(xrad)])
-    fn = _as_evaluator(u)
+    fn = _as_callable(u)
     salt = int(np.float64(xrad).view(np.uint64))
     radii, averages, stderrs = [], [], []
     starved = False
@@ -172,9 +165,10 @@ def collect_trace_points(
     if not arcs:
         raise DomainError("no data arc is wide enough for trace sampling")
     out: List[Tuple[float, float]] = []
-    frac = _van_der_corput()
+    k = 0
     while len(out) < count:
-        f = 0.1 + 0.8 * next(frac)
+        k += 1  # f runs over the base-2 van der Corput points of 1, 2, 3, ...
+        f = 0.1 + 0.8 * (int(bin(k)[:1:-1], 2) / 2 ** k.bit_length())
         for a, meas, v in arcs:
             if len(out) >= count:
                 break
@@ -182,33 +176,8 @@ def collect_trace_points(
     return out
 
 
-def _van_der_corput():
-    n = 1
-    while True:
-        x, denom, k = 0.0, 1.0, n
-        while k:
-            denom *= 2.0
-            x += (k & 1) / denom
-            k >>= 1
-        yield x
-        n += 1
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the Cantor families
-
-def kept_arc_measure(n: int, removal: Fraction = Fraction(1, 4)) -> Fraction:
-    """Exact measure of a stage-n kept arc, without building the 2**n arcs."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("kept_arc_measure: n must be a nonnegative integer")
-    r = Fraction(removal)
-    if not 0 < r < Fraction(1, 2):
-        raise DomainError("kept_arc_measure: removal ratio must lie in (0, 1/2)")
-    length = Fraction(1)
-    for j in range(1, n + 1):
-        length = (length - r**j) / 2
-    return length
-
 
 def u_energy(n: int) -> float:
     """Energy of the stage-n minimal solution: one chord per kept arc."""

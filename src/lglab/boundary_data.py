@@ -125,9 +125,6 @@ class PiecewiseConstantBoundary:
     def is_binary(self) -> bool:
         return set(self.values) <= {0.0, 1.0}
 
-    def distinct_values(self) -> Tuple[float, ...]:
-        return tuple(sorted(set(self.values)))
-
     def support_arcs(self, level: float = 1.0) -> Tuple[Arc, ...]:
         """Maximal arcs on which the data equals ``level`` (empty for constants)."""
         if self.is_constant:
@@ -289,9 +286,8 @@ class PiecewiseConstantBoundary:
 class EvaluableBoundary:
     """Boundary function given by a vectorized evaluator on angles (radians)."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], corner_angles=()):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
-        self.corner_angles = tuple(corner_angles)
 
     def value_at_many(self, theta: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(theta, dtype=float)), dtype=float)
@@ -310,6 +306,19 @@ BoundaryData = Union[PiecewiseConstantBoundary, EvaluableBoundary]
 # fat Cantor construction
 
 REFERENCE_CENTER = Angle(Fraction(1, 2), Fraction(0))  # pi/2
+
+
+def kept_arc_measure(n: int, removal: Fraction = Fraction(1, 4)) -> Fraction:
+    """Exact measure of a stage-n kept arc, without building the 2**n arcs."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("kept_arc_measure: n must be a nonnegative integer")
+    r = Fraction(removal)
+    if not 0 < r < Fraction(1, 2):
+        raise DomainError("kept_arc_measure: removal ratio must lie in (0, 1/2)")
+    length = Fraction(1)
+    for j in range(1, n + 1):
+        length = (length - r**j) / 2
+    return length
 
 
 @dataclass(frozen=True)
@@ -331,10 +340,7 @@ class CantorStage:
     @property
     def kept_arc_measure(self) -> Fraction:
         """Exact radian measure of each kept arc (all are equal)."""
-        length = Fraction(1)
-        for j in range(1, self.n + 1):
-            length = (length - self.removal**j) / 2
-        return length
+        return kept_arc_measure(self.n, self.removal)
 
     @property
     def kept_total(self) -> Fraction:
@@ -446,10 +452,7 @@ def eta_plus(F, eps: float) -> EvaluableBoundary:
         return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
     arcs = _sorted_disjoint(arcs)
     dist = _dist_to_arcs_fn(arcs)
-    corners = [a.start.radians for a in arcs] + [a.end.radians for a in arcs]
-    return EvaluableBoundary(
-        lambda th: np.maximum(1.0 - dist(th) / eps, 0.0), corner_angles=corners
-    )
+    return EvaluableBoundary(lambda th: np.maximum(1.0 - dist(th) / eps, 0.0))
 
 
 def eta_minus(F, eps: float) -> EvaluableBoundary:
@@ -462,10 +465,7 @@ def eta_minus(F, eps: float) -> EvaluableBoundary:
     arcs = _sorted_disjoint(arcs)
     gaps = [Arc(a.end, b.start) for a, b in zip(arcs, arcs[1:] + arcs[:1])]
     dist = _dist_to_arcs_fn(gaps)
-    corners = [a.start.radians for a in arcs] + [a.end.radians for a in arcs]
-    return EvaluableBoundary(
-        lambda th: np.minimum(dist(th) / eps, 1.0), corner_angles=corners
-    )
+    return EvaluableBoundary(lambda th: np.minimum(dist(th) / eps, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +519,6 @@ class DiscreteConvolution(EvaluableBoundary):
         psi, _ = self._hat_weights(theta)
         s = psi.sum(axis=-1)
         return (psi / s[..., None]).sum(axis=-1)
-
-    def overlap_count(self, theta: np.ndarray) -> np.ndarray:
-        psi, _ = self._hat_weights(theta)
-        return (psi > 0.0).sum(axis=-1)
 
     def abs_integral(self, grid: int = 200_001) -> float:
         th = np.linspace(0.0, TAU, grid)

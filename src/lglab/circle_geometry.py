@@ -131,7 +131,6 @@ class Angle:
         return f"Angle({self.pi_mult!s}*pi + {self.offset!s})"
 
 
-ZERO = Angle(0, 0)
 TWO_PI = Angle(2, 0)
 
 

@@ -63,6 +63,12 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _error(exc: Exception) -> int:
+    """Print the JSON diagnostic for a rejected input; the exit code is 1."""
+    sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
+    return 1
+
+
 def _report_dict(rep: analysis.ScenarioReport) -> dict:
     return {
         "scenario": rep.scenario,
@@ -170,8 +176,7 @@ def cmd_solve(args) -> int:
             }
             cfg = None
     except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
+        return _error(exc)
     if args.render:
         svg = render_svg(data, cfg if cfg is not None else stack)
         with open(args.render, "w") as fh:
@@ -316,8 +321,7 @@ def cmd_verify(args) -> int:
     try:
         rep = suites[args.suite]()
     except (DomainError, NestednessError) as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
+        return _error(exc)
     _write(_dump(_report_dict(rep)), args.out)
     return 0 if rep.passed else 1
 
@@ -336,8 +340,7 @@ def cmd_trace(args) -> int:
             fn, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
         )
     except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
+        return _error(exc)
     report = {
         "point": _fmt(est.point),
         "radii": [_fmt(r) for r in est.radii],
@@ -399,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        return _error(DomainError(f"--seed must be a non-negative integer, got {args.seed}"))
     return args.fn(args)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .circle_geometry import DomainError
 from .chord_solver import BinaryDiskFunction, ChordConfiguration, solve_binary
@@ -23,14 +22,45 @@ DEFAULT_SEED = 0xC0FFEE
 NESTED_TOL = 1e-3
 
 
+def _scrambled_radical_inverse(n: int, base: int, rng: np.random.Generator) -> np.ndarray:
+    """Owen-scrambled radical inverse of 0..n-1, bit for bit as scipy sums it.
+
+    Each row's permutation is an ``rng.shuffle`` of ``arange(base)``, drawn in
+    row order.  Row j adds ``perm[digit j] * b2r`` to a sum that starts at
+    0.0, b2r being 1/base divided j times by base.  The first ``k`` rows fill
+    a table over the residues mod ``base**k``; rows past every index's last
+    nonzero digit add one scalar.
+    """
+    perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+    for perm in perms:
+        rng.shuffle(perm)
+    k = math.ceil(12 / math.log2(base))
+    m = min(n, base**k)
+    out, q, top = np.zeros(m), np.arange(m), m - 1
+    b2r = 1.0 / base
+    for j, perm in enumerate(perms):
+        if j == k:
+            idx = np.arange(n)
+            out, q, top = out[idx % m], idx // m, (n - 1) // m
+        if top:
+            out += perm[q % base] * b2r
+            q //= base
+            top //= base
+        else:
+            out += perm[0] * b2r
+        b2r /= base
+    return out
+
+
 def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """n quasirandom points equidistributed in the open unit disk."""
+    """n quasirandom points equidistributed in the open unit disk: the polar
+    map of scipy's ``qmc.Halton(d=2, scramble=True, seed=seed).random(n)``,
+    bit for bit (``tests/test_level_stack.py`` pins them), without scipy."""
     if n < 1:
         raise DomainError("need at least one sample")
-    halton = qmc.Halton(d=2, scramble=True, seed=seed)
-    uv = halton.random(n)
-    r = np.sqrt(uv[:, 0])
-    th = 2.0 * math.pi * uv[:, 1]
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(_scrambled_radical_inverse(n, 2, rng))
+    th = 2.0 * math.pi * _scrambled_radical_inverse(n, 3, rng)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
@@ -154,7 +184,8 @@ DiskFunction = Union[LevelSetStack, BinaryDiskFunction, Callable[[np.ndarray], n
 
 
 def _as_callable(f: DiskFunction) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, LevelSetStack):
+    """A vectorized evaluator: ``f.evaluate_many`` if it exists, else f itself."""
+    if hasattr(f, "evaluate_many"):
         return f.evaluate_many
     if callable(f):
         return f

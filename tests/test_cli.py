@@ -257,3 +257,22 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         run(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{caps}", "--seed", "-1"],
+        ["verify", "nonlocality", "--seed", "-1"],
+        ["verify", "monotone", "--seed", "-1"],
+        ["verify", "inequalities", "--seed", "-5"],
+        ["trace", "{caps}", "1.0", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_structured_error(caps_path, argv):
+    code, out, err = run([a.format(caps=caps_path) for a in argv])
+    assert code == 1
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "DomainError"
+    assert "seed" in diag["message"]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,38 @@ class TestDiskSamples:
         assert np.all(r < 1.0)
         # area fraction of the half-plane x > 0 is 1/2
         assert np.mean(pts[:, 0] > 0) == pytest.approx(0.5, abs=0.01)
+
+    # 4095..4097 straddle the base-2 digit table (4096 entries) and 6561 is the
+    # base-3 one; 20 000 and 200 000 run over several periods of both.
+    @pytest.mark.parametrize("n", [1, 3, 4095, 4096, 4097, 6561, 20_000, 200_000])
+    @pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 424242, 2**40 + 3])
+    def test_bitwise_equal_to_scipy_halton(self, n, seed):
+        from scipy.stats import qmc
+        uv = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
+        r = np.sqrt(uv[:, 0])
+        th = 2.0 * math.pi * uv[:, 1]
+        expected = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        got = disk_samples(n, seed)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("module", ["lglab", "lglab.cli"])
+def test_import_loads_no_scipy(module):
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestSolveGeneral:
