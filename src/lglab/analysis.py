@@ -31,16 +31,16 @@ from .boundary_data import (
     quantize,
 )
 from .chord_solver import (
+    BinaryDiskFunction,
     ChordConfiguration,
     _proper_params,
-    config_to_function,
     enumerate_optimal,
     region_subset,
     select_optimal,
     solve_binary,
     transitions_of,
 )
-from .level_stack import DEFAULT_SEED, _as_callable, disk_samples, l1_distance
+from .level_stack import DEFAULT_SEED, _as_callable, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
 
@@ -101,12 +101,18 @@ def trace(
     Averages u over B(x, r_k) cap Omega for r_k = r0 * 2^-k; the limit is
     the finest-level average and the residual is the gap to the level above
     it.  Starvation (fewer than 32 kept samples at some level) is flagged
-    and the affected standard errors widen accordingly.
+    and the affected standard errors widen accordingly.  ``samples`` must be
+    at least 16: a radius then draws up to 8 * 16 points, each inside the disk
+    with probability above 0.39 (r0 < 1), so it keeps none with p < 1e-27.
+    A radius too small for doubles to place a point strictly inside the disk
+    keeps none at all and raises DomainError.
     """
     if not (0.0 < r0 < 1.0):
         raise DomainError("r0 must lie in (0, 1)")
     if levels < 4:
         raise DomainError("need at least 4 radii to judge stabilization")
+    if samples < 16:
+        raise DomainError(f"need at least 16 samples per radius, got {samples}")
     xrad = x.radians if isinstance(x, Angle) else float(x)
     center = np.array([math.cos(xrad), math.sin(xrad)])
     fn = _as_callable(u)
@@ -127,13 +133,13 @@ def trace(
             kept += int(np.count_nonzero(inside))
             if kept >= samples // 2:
                 break
-        vals = np.concatenate(kept_vals) if kept_vals else np.empty(0)
-        if len(vals) < 32:
-            starved = True
-        n_eff = max(len(vals), 1)
+        vals = np.concatenate(kept_vals)
+        if not len(vals):
+            raise DomainError(f"no sample at radius {r:.3g} fell inside the disk")
+        starved = starved or len(vals) < 32
         radii.append(r)
-        averages.append(float(np.mean(vals)) if len(vals) else math.nan)
-        stderrs.append(float(np.std(vals)) / math.sqrt(n_eff) if len(vals) else math.inf)
+        averages.append(float(np.mean(vals)))
+        stderrs.append(float(np.std(vals)) / math.sqrt(len(vals)))
     limit = averages[-1]
     residual = abs(averages[-1] - averages[-2])
     return TraceEstimate(
@@ -377,11 +383,7 @@ def cantor_nonexistence_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioRe
 
 
 def _cantor_endpoint_angles(stage: int) -> List[float]:
-    out = []
-    for arc in cantor_stage(stage).kept:
-        out.append(arc.start.normalized().radians)
-        out.append(arc.end.normalized().radians)
-    return out
+    return [a.radians for arc in cantor_stage(stage).kept for a in (arc.start, arc.end)]
 
 
 def nonlin_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioReport:
@@ -410,8 +412,8 @@ def nonlin_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioReport:
     rep.add("consecutive L1 gaps vanish", gaps[-1] if gaps else 0.0, 1e-6, ok)
     if n_max >= 2:
         est = l1_distance(
-            config_to_function(cut_config(1)),
-            config_to_function(cut_config(2)),
+            BinaryDiskFunction(cut_config(1)),
+            BinaryDiskFunction(cut_config(2)),
             samples=200_000,
             seed=seed,
         )
@@ -560,15 +562,15 @@ def monotone_pipeline(
     u_min = solve_binary(data, "minimal")
     u_max = solve_binary(data, "maximal")
     dists = [
-        l1_distance(config_to_function(u), config_to_function(u_min), samples=samples, seed=seed).value
+        l1_distance(BinaryDiskFunction(u), BinaryDiskFunction(u_min), samples=samples, seed=seed).value
         for u in us
     ]
     rep.details["l1_to_minimal"] = dists
     rep.add("eroded solutions approach the minimal one", dists[-1], 1e-2, dists[-1] < 1e-2)
     nonexp = all(b <= a + 1e-3 for a, b in zip(dists, dists[1:]))
     rep.add("approach is monotone within noise", nonexp, None, nonexp)
-    d_min = l1_distance(config_to_function(vs[-1]), config_to_function(u_min), samples=samples, seed=seed).value
-    d_max = l1_distance(config_to_function(vs[-1]), config_to_function(u_max), samples=samples, seed=seed).value
+    d_min = l1_distance(BinaryDiskFunction(vs[-1]), BinaryDiskFunction(u_min), samples=samples, seed=seed).value
+    d_max = l1_distance(BinaryDiskFunction(vs[-1]), BinaryDiskFunction(u_max), samples=samples, seed=seed).value
     if d_min < 1e-2:
         kind = "minimal"
     elif d_max < 1e-2:

@@ -49,31 +49,16 @@ class PiecewiseConstantBoundary:
         elif len(bps) != len(vals):
             raise DomainError("need one value per breakpoint")
         else:
-            order = sorted(range(len(bps)), key=lambda i: bps[i].radians)
-            # float sort then exact fixup for near-ties
-            for a in range(1, len(order)):
-                b = a
-                while b > 0 and bps[order[b]] < bps[order[b - 1]]:
-                    order[b], order[b - 1] = order[b - 1], order[b]
-                    b -= 1
+            order = sorted(range(len(bps)), key=bps.__getitem__)
             bps = [bps[i] for i in order]
             vals = [vals[i] for i in order]
-            for i in range(1, len(bps)):
-                if bps[i] == bps[i - 1]:
-                    raise DomainError("duplicate breakpoints")
-            # merge adjacent equal values (cyclically)
-            changed = True
-            while changed and bps:
-                changed = False
-                if all(v == vals[0] for v in vals):
-                    bps, vals = [], [vals[0]]
-                    break
-                for i in range(len(bps)):
-                    if vals[i] == vals[i - 1]:
-                        del bps[i]
-                        del vals[i]
-                        changed = True
-                        break
+            if any(a == b for a, b in zip(bps, bps[1:])):
+                raise DomainError("duplicate breakpoints")
+            # merge adjacent equal values (cyclically): a breakpoint between
+            # equal values goes, and dropping one leaves the others' test as is
+            keep = [i for i in range(len(bps)) if vals[i] != vals[i - 1]]
+            bps = [bps[i] for i in keep]
+            vals = [vals[i] for i in keep] if keep else vals[:1]
         self.breakpoints: Tuple[Angle, ...] = tuple(bps)
         self.values: Tuple[float, ...] = tuple(vals)
         self._rad: Optional[np.ndarray] = None
@@ -94,12 +79,7 @@ class PiecewiseConstantBoundary:
         outside: float = 0.0,
     ) -> "PiecewiseConstantBoundary":
         """Indicator-style data: ``inside`` on the given disjoint arcs."""
-        arcs = sorted(arcs, key=lambda a: a.start.radians)
-        for i in range(1, len(arcs)):  # exact fixup of float sort near-ties
-            j = i
-            while j > 0 and arcs[j].start < arcs[j - 1].start:
-                arcs[j], arcs[j - 1] = arcs[j - 1], arcs[j]
-                j -= 1
+        arcs = sorted(arcs, key=lambda a: a.start)
         if not arcs:
             return cls.constant(outside)
         for a in arcs:
@@ -422,7 +402,7 @@ def _coerce_arcs(F) -> Tuple[Optional[bool], Tuple[Arc, ...]]:
 
 
 def _sorted_disjoint(arcs: Sequence[Arc]) -> Tuple[Arc, ...]:
-    arcs = tuple(sorted(arcs, key=lambda a: a.start.radians))
+    arcs = tuple(sorted(arcs, key=lambda a: a.start))
     for a, b in zip(arcs, arcs[1:] + arcs[:1]):
         if len(arcs) > 1 and ccw_measure(a.end, b.start).sign() <= 0:
             raise DomainError("arcs must be pairwise disjoint")
@@ -524,10 +504,6 @@ class DiscreteConvolution(EvaluableBoundary):
         th = np.linspace(0.0, TAU, grid)
         vals = np.abs(self._evaluate(th))
         return float(np.trapezoid(vals, th))
-
-
-def discrete_convolution(data: BoundaryData, eps: float) -> DiscreteConvolution:
-    return DiscreteConvolution(data, eps)
 
 
 # ---------------------------------------------------------------------------

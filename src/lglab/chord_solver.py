@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,17 +43,47 @@ class Transition:
     rising: bool
 
 
-def transitions_of(data) -> Tuple[Tuple[Transition, ...], int]:
-    """Transition list (ccw order) and the value held across angle 0."""
+class TransitionSet(tuple):
+    """Validated, immutable ccw transition tuple that also holds the value
+    across angle 0 (``base``) and the float radians ``u`` of the normalized
+    angles (read only).  The only place that checks order, alternation and
+    base consistency; configurations built on one set share it unchecked.
+    """
+
+    def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
+        self = super().__new__(cls, transitions)
+        angles = [t.angle.normalized() for t in self]
+        if not all(a < b for a, b in zip(angles, angles[1:])):
+            raise DomainError("transitions must be strictly increasing in [0, 2*pi)")
+        # cyclic alternation, which also rules out an odd count
+        if any(a.rising == b.rising for a, b in zip(self, self[1:] + self[:1])):
+            raise DomainError("transitions must alternate rising/falling")
+        if base not in (0, 1):
+            raise DomainError("base value must be 0 or 1")
+        # the wrap arc holds value 1 exactly when the last transition is rising
+        if self and base != int(self[-1].rising):
+            raise DomainError("base value inconsistent with transition types")
+        u = np.array([a.radians for a in angles], dtype=float)
+        u.flags.writeable = False
+        object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "u", u)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("TransitionSet is immutable")
+
+    __delattr__ = __setattr__
+
+
+def transitions_of(data) -> Tuple[TransitionSet, int]:
+    """The validated transition set (ccw order) and the value held across
+    angle 0."""
     if not data.is_binary:
         raise DomainError("solver needs binary data with values in {0, 1}")
-    if data.is_constant:
-        return (), int(data.values[0])
-    trans = tuple(
-        Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)
-    )
-    base = int(data.values[-1])
-    return trans, base
+    # constant data has no breakpoints and one value, so no transitions
+    rising = [Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)]
+    trans = TransitionSet(rising, int(data.values[-1]))
+    return trans, trans.base
 
 
 def _validate_matching(n: int, matching: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -89,38 +119,24 @@ class ChordConfiguration:
         matching: Sequence[Tuple[int, int]],
         base_value: int,
     ):
-        transitions = tuple(transitions)
-        n = len(transitions)
-        if n % 2:
-            raise DomainError("transition count must be even")
-        for a, b in zip(transitions, transitions[1:]):
-            if not a.angle.normalized() < b.angle.normalized():
-                raise DomainError("transitions must be strictly increasing in [0, 2*pi)")
-            if a.rising == b.rising:
-                raise DomainError("transitions must alternate rising/falling")
-        if n and transitions[0].rising == transitions[-1].rising:
-            raise DomainError("transitions must alternate rising/falling")
-        if base_value not in (0, 1):
-            raise DomainError("base value must be 0 or 1")
-        # the wrap arc holds value 1 exactly when the last transition is rising
-        if n and base_value != int(transitions[-1].rising):
-            raise DomainError("base value inconsistent with transition types")
+        # a set with this base is shared as it is; anything else is validated
+        if not isinstance(transitions, TransitionSet) or transitions.base != base_value:
+            transitions = TransitionSet(transitions, base_value)
         self.transitions = transitions
-        self.matching = _validate_matching(n, matching)
-        self.base_value = int(base_value)
-        self._u = np.array([t.angle.normalized().radians for t in transitions])
+        self.matching = _validate_matching(len(transitions), matching)
+        self.base_value = transitions.base
 
     # -- scalar invariants ------------------------------------------------
     @cached_property
     def energy(self) -> float:
         """Total chord length, summed canonically (index order, exact fsum)."""
-        u = self._u
+        u = self.transitions.u
         return math.fsum(chord_length(u[j] - u[i]) for i, j in self.matching)
 
     @cached_property
     def label_area(self) -> float:
         """Area of the label-1 region (boundary arcs plus chord terms)."""
-        u = self._u
+        u = self.transitions.u
         n = len(self.transitions)
         if n == 0:
             return math.pi * self.base_value
@@ -138,20 +154,10 @@ class ChordConfiguration:
     def n_chords(self) -> int:
         return len(self.matching)
 
-    def chords(self) -> Tuple[ChordEdge, ...]:
-        return tuple(
-            ChordEdge(self.transitions[i].angle, self.transitions[j].angle)
-            for i, j in self.matching
-        )
-
     def chord_segments(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Chord endpoints as planar points, aligned with ``matching``."""
-        out = []
-        for i, j in self.matching:
-            p = np.array(self.transitions[i].angle.point())
-            q = np.array(self.transitions[j].angle.point())
-            out.append((p, q))
-        return out
+        pts = [np.array(t.angle.point()) for t in self.transitions]
+        return [(pts[i], pts[j]) for i, j in self.matching]
 
     def chord_angle_pairs(self) -> List[frozenset]:
         """Unordered endpoint angle pairs (for exact coincidence tests)."""
@@ -230,7 +236,7 @@ class ChordConfiguration:
     def _chord_tests(self):
         """Per chord: endpoint points, and the orientation sign of its arc side."""
         tests = []
-        u = self._u
+        u = self.transitions.u
         for i, j in self.matching:
             p = np.array(self.transitions[i].angle.point())
             q = np.array(self.transitions[j].angle.point())
@@ -282,14 +288,6 @@ class BinaryDiskFunction:
         return self.config.evaluate_points(pts).astype(float)
 
 
-def config_energy(config: ChordConfiguration) -> float:
-    return config.energy
-
-
-def config_to_function(config: ChordConfiguration) -> BinaryDiskFunction:
-    return BinaryDiskFunction(config)
-
-
 # ---------------------------------------------------------------------------
 # the interval DP
 
@@ -323,11 +321,11 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     trans, base = transitions_of(data)
     n = len(trans)
     if n == 0:
-        return ChordConfiguration((), (), base)
+        return ChordConfiguration(trans, (), base)
     if n > MAX_TRANSITIONS:
         raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
 
-    u = np.array([t.angle.normalized().radians for t in trans])
+    u = trans.u
     # area term of chord (i, k): sin(u[k] - u[i]), negated for a rising i,
     # and negated again in maximal mode so the smallest term always wins
     sgn = np.where([t.rising for t in trans], -1.0, 1.0)
@@ -415,7 +413,7 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
     if n == 0:
-        return (ChordConfiguration((), (), base),)
+        return (ChordConfiguration(trans, (), base),)
     configs = [ChordConfiguration(trans, m, base) for m in _all_matchings(n)]
     emin = min(c.energy for c in configs)
     tol = ENERGY_REL_TOL * max(1.0, emin)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .circle_geometry import Angle, Arc, DomainError
 from .boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
-from .chord_solver import ChordConfiguration, solve_binary
+from .chord_solver import BinaryDiskFunction, ChordConfiguration, solve_binary
 from .level_stack import (
     DEFAULT_SEED,
     LevelSetStack,
@@ -296,9 +296,10 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
     caps = PiecewiseConstantBoundary(
         [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)], [1.0, 0.0, 1.0, 0.0]
     )
-    rep_a = analysis.monotone_pipeline(fixed, 5, samples=args.samples, seed=args.seed)
+    samples = 50000 if args.samples is None else args.samples
+    rep_a = analysis.monotone_pipeline(fixed, 5, samples=samples, seed=args.seed)
     rep_a.scenario = "fixed-arcs"
-    rep_b = analysis.monotone_pipeline(caps, 5, samples=args.samples, seed=args.seed)
+    rep_b = analysis.monotone_pipeline(caps, 5, samples=samples, seed=args.seed)
     rep_b.scenario = "opposite-caps"
     return _merge_reports("monotone", [rep_a, rep_b], args.seed)
 
@@ -318,6 +319,8 @@ def cmd_verify(args) -> int:
         "inequalities": lambda: _suite_inequalities(args),
         "oracle": lambda: analysis.oracle_check(200, seed=args.seed),
     }
+    if args.samples is not None and args.suite != "monotone":
+        return _error(DomainError(f"verify {args.suite} takes no --samples (only monotone does)"))
     try:
         rep = suites[args.suite]()
     except (DomainError, NestednessError) as exc:
@@ -333,7 +336,7 @@ def cmd_trace(args) -> int:
     try:
         data = _load_data(args.input)
         if data.is_binary:
-            fn = analysis.config_to_function(solve_binary(data))
+            fn = BinaryDiskFunction(solve_binary(data))
         else:
             fn = solve_general(data, seed=args.seed)
         est = analysis.trace(
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["nonexistence", "nonlinearity", "nonlocality", "monotone", "inequalities", "oracle"],
     )
     v.add_argument("--out", default=None)
-    v.add_argument("--samples", type=int, default=50000)
+    v.add_argument("--samples", type=int, default=None, help="monotone only (default 50000)")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.set_defaults(fn=cmd_verify)
 

@@ -21,7 +21,7 @@ from lglab.boundary_data import (
     cantor_stage,
 )
 from lglab.chord_solver import (
-    config_to_function,
+    BinaryDiskFunction,
     enumerate_optimal,
     solve_binary,
 )
@@ -170,7 +170,7 @@ def test_criterion_08_trace_suite():
     solved += [(build_gn(n), "minimal") for n in range(1, 7)]
     solved += [(caps, "minimal"), (caps, "maximal")]
     for data, mode in solved:
-        u = config_to_function(solve_binary(data, mode))
+        u = BinaryDiskFunction(solve_binary(data, mode))
         for ang, val in collect_trace_points(data, count=20):
             est = trace(u, ang, r0=1e-3)
             assert est.limit == val

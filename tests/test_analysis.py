@@ -7,7 +7,7 @@ import pytest
 
 from lglab.circle_geometry import DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
-from lglab.chord_solver import config_to_function, solve_binary
+from lglab.chord_solver import BinaryDiskFunction, solve_binary
 from lglab import analysis
 from lglab.analysis import (
     ENERGY_THRESHOLD,
@@ -87,28 +87,42 @@ class TestTrace:
         assert len(est.radii) == 4
 
     def test_binary_solution_is_exact_on_arc_interior(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         assert trace(u, math.pi / 2).limit == 1.0
         assert trace(u, math.pi).limit == 0.0
 
     def test_deterministic(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         assert trace(u, 2.0, seed=9) == trace(u, 2.0, seed=9)
 
     def test_starvation_flag(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         est = trace(u, math.pi / 2, samples=16)
         assert est.starved
 
     def test_validation(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         with pytest.raises(DomainError):
             trace(u, 1.0, r0=2.0)
         with pytest.raises(DomainError):
             trace(u, 1.0, levels=2)
 
+    @pytest.mark.parametrize("samples", [0, 1, 15])
+    def test_too_few_samples_rejected(self, caps, samples):
+        # so few samples can leave a radius with no point: a nan average
+        u = BinaryDiskFunction(solve_binary(caps))
+        with pytest.raises(DomainError):
+            trace(u, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("r0, levels", [(1e-3, 1100), (1e-300, 4)])
+    def test_radius_below_double_resolution_rejected(self, caps, r0, levels):
+        # at angle 0 every point that close to (1, 0) rounds onto the circle
+        u = BinaryDiskFunction(solve_binary(caps))
+        with pytest.raises(DomainError):
+            trace(u, 0.0, r0=r0, levels=levels)
+
     def test_levels_halve_radius(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         est = trace(u, 0.5, r0=1e-2, levels=5)
         assert est.radii == tuple(1e-2 * 2.0**-k for k in range(5))
 
@@ -147,7 +161,7 @@ class TestVLimit:
 
     def test_agrees_with_deep_cut_solution(self):
         v = VLimitFunction()
-        u8 = config_to_function(solve_binary(build_gn(8)))
+        u8 = BinaryDiskFunction(solve_binary(build_gn(8)))
         pts = np.array(
             [[math.cos(t) * r, math.sin(t) * r] for t in np.linspace(0, 6.2, 40) for r in (0.3, 0.9)]
         )

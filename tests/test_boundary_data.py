@@ -237,6 +237,34 @@ class TestErosionDilation:
         assert shrink == pytest.approx(eps, abs=1e-9)
 
 
+class TestExactSorting:
+    """Arc starts that are equal as doubles but differ exactly."""
+
+    S = _pi("1/4")
+    X = Arc(S, S + Angle.of_radians(Fraction(1, 10**30)))
+    Y = Arc(S + Angle.of_radians(Fraction(2, 10**30)), S + Angle.of_radians(1))
+    Z = Arc(S + Angle.of_radians(2), S + Angle.of_radians(3))
+
+    def test_starts_tie_as_doubles(self):
+        assert self.X.start.radians == self.Y.start.radians
+        assert self.X.start < self.Y.start
+
+    def test_eta_minus_orders_arcs_exactly(self):
+        # a float-only sort keeps Y before X and builds the gaps between the
+        # wrong neighbours, which puts the middle of Y in a gap
+        mid_y = self.S.radians + 0.5
+        for arcs in ([self.Y, self.X, self.Z], [self.X, self.Y, self.Z]):
+            assert eta_minus(arcs, 0.05).value_at(mid_y) == 1.0
+            assert eta_plus(arcs, 0.05).value_at(mid_y) == 1.0
+
+    def test_from_arcs_and_constructor_sort_exactly(self):
+        data = PCB.from_arcs([self.Y, self.Z, self.X])
+        assert data == PCB.from_arcs([self.X, self.Y, self.Z])
+        assert data.breakpoints[:3] == (self.X.start, self.X.end, self.Y.start)
+        shuffled = PCB(reversed(data.breakpoints), reversed(data.values))
+        assert shuffled == data
+
+
 class TestQuantize:
     def test_exact_on_piecewise_constant(self):
         data = PCB([_pi(0), _pi(1)], [0.2, 0.9])

@@ -9,11 +9,11 @@ import pytest
 from lglab.circle_geometry import Angle, DomainError, cell_area
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import (
+    BinaryDiskFunction,
     ChordConfiguration,
     _pick,
     Transition,
-    config_energy,
-    config_to_function,
+    TransitionSet,
     enumerate_optimal,
     region_subset,
     select_optimal,
@@ -81,6 +81,66 @@ class TestConfigurationValidation:
             ChordConfiguration(self._trans(caps), ((0, 1), (2, 3)), 1)
 
 
+class TestTransitionSet:
+    def test_transitions_of_builds_a_set(self, caps):
+        trans, base = transitions_of(caps)
+        assert isinstance(trans, TransitionSet)
+        assert trans.base == base == 0
+        assert trans == tuple(Transition(bp, v == 1.0) for bp, v in zip(caps.breakpoints, caps.values))
+        assert list(trans.u) == [bp.radians for bp in caps.breakpoints]
+
+    def test_immutable(self, caps):
+        trans, _ = transitions_of(caps)
+        with pytest.raises(AttributeError):
+            trans.base = 1
+        with pytest.raises(AttributeError):
+            del trans.u
+        with pytest.raises(ValueError):
+            trans.u[0] = 0.0
+
+    def test_configurations_share_the_set(self, caps, monkeypatch):
+        trans, base = transitions_of(caps)
+        calls = []
+        real = Angle.normalized
+        monkeypatch.setattr(Angle, "normalized", lambda a: calls.append(a) or real(a))
+        cfg = ChordConfiguration(trans, ((0, 1), (2, 3)), base)
+        assert cfg.transitions is trans
+        assert calls == []  # no second validation
+        raw = ChordConfiguration(tuple(trans), ((0, 1), (2, 3)), base)
+        assert raw.transitions is not trans and raw == cfg
+        assert len(calls) == 4  # a raw sequence is validated once per angle
+
+    def test_enumerated_configurations_share_one_set(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            data = random_binary_data(rng, max_pairs=5)
+            trans, _ = transitions_of(data)
+            optima = enumerate_optimal(data)
+            assert len({id(c.transitions) for c in optima}) == 1
+            assert optima[0].transitions == trans
+
+    def test_raw_sequences_still_rejected(self, caps):
+        trans = tuple(transitions_of(caps)[0])
+        with pytest.raises(DomainError):
+            ChordConfiguration(trans, ((0, 2), (1, 3)), 0)
+        with pytest.raises(DomainError):
+            ChordConfiguration(trans, ((0, 1), (2, 3)), 1)
+        with pytest.raises(DomainError):
+            ChordConfiguration(trans[::-1], ((0, 1), (2, 3)), 0)  # decreasing
+        with pytest.raises(DomainError):
+            ChordConfiguration(trans[:3], ((0, 1),), 0)  # odd count
+        with pytest.raises(DomainError):
+            ChordConfiguration((trans[0], trans[2]), ((0, 1),), 0)  # both rising
+        with pytest.raises(DomainError):
+            ChordConfiguration(trans, ((0, 1), (2, 3)), 2)
+
+    def test_empty_set_takes_the_requested_base(self):
+        one, base = transitions_of(PCB.constant(1.0))
+        assert base == 1
+        assert ChordConfiguration(one, (), 1).transitions is one
+        assert ChordConfiguration(one, (), 0).base_value == 0
+
+
 class TestEnergyAndArea:
     def test_caps_minimal(self, caps):
         cfg = solve_binary(caps, "minimal")
@@ -137,9 +197,8 @@ class TestEvaluation:
         assert zero.label_area == 0.0
 
     def test_function_wrapper(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         assert u(np.array([[0.0, 0.9]]))[0] == 1
-        assert config_energy(solve_binary(caps)) == solve_binary(caps).energy
 
 
 class TestSolverAgainstEnumeration:

@@ -5,7 +5,7 @@ import contextlib
 
 import pytest
 
-from lglab import __version__
+from lglab import __version__, analysis
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
 from lglab.cli import main
 
@@ -221,6 +221,30 @@ class TestVerify:
             run(["verify", "everything"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "suite", ["nonexistence", "nonlinearity", "nonlocality", "inequalities", "oracle"]
+    )
+    def test_samples_rejected_where_unused(self, suite):
+        # these suites have fixed sample counts, so the flag would be ignored
+        code, out, err = run(["verify", suite, "--samples", "10"])
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "DomainError"
+        assert "--samples" in diag["message"]
+
+    def test_monotone_samples_default(self, monkeypatch):
+        seen = []
+
+        def spy(data, k_max, **kw):
+            seen.append(kw["samples"])
+            return analysis.ScenarioReport("spy", seed=kw["seed"])
+
+        monkeypatch.setattr(analysis, "monotone_pipeline", spy)
+        assert run(["verify", "monotone"])[0] == 0
+        assert run(["verify", "monotone", "--samples", "3000"])[0] == 0
+        assert seen == [50000, 50000, 3000, 3000]
+
     def test_out_flag(self, tmp_path):
         p = tmp_path / "rep.json"
         code, out, _ = run(["verify", "nonlocality", "--out", str(p)])
@@ -251,6 +275,22 @@ class TestTrace:
         code, _, err = run(["trace", caps_path, "1.0", "--levels", "2"])
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_vanishing_radius_structured_error(self, caps_path):
+        code, out, err = run(["trace", caps_path, "0.0", "--r0", "1e-300"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_structured_error(self, caps_path, samples):
+        # so few samples can leave a radius with no point: a nan average
+        code, out, err = run(["trace", caps_path, "1.0", "--samples", samples])
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "DomainError"
+        assert "samples" in diag["message"]
 
 
 def test_version_flag():

@@ -10,7 +10,7 @@ import pytest
 
 from lglab.circle_geometry import Angle, DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
-from lglab.chord_solver import solve_binary, config_to_function
+from lglab.chord_solver import BinaryDiskFunction, solve_binary
 from lglab.level_stack import (
     DEFAULT_SEED,
     LevelSetStack,
@@ -175,15 +175,15 @@ class TestNestedness:
 
 class TestL1Distance:
     def test_zero_distance(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         est = l1_distance(u, u, samples=2000)
         assert est.value == 0.0
         assert est.stderr == 0.0
         assert est.n_samples == 2000
 
     def test_known_distance(self, caps, band):
-        u = config_to_function(solve_binary(caps, "minimal"))
-        w = config_to_function(solve_binary(band, "minimal"))
+        u = BinaryDiskFunction(solve_binary(caps, "minimal"))
+        w = BinaryDiskFunction(solve_binary(band, "minimal"))
         est = l1_distance(u, w, samples=120_000)
         # four disjoint circular segments, two per function, each pi/4 - 1/2
         assert est.value == pytest.approx(math.pi - 2.0, abs=4 * est.stderr + 1e-3)
@@ -194,13 +194,13 @@ class TestL1Distance:
         assert est.value == pytest.approx(solve_binary(caps).label_area, abs=0.05)
 
     def test_sample_floor(self, caps):
-        u = config_to_function(solve_binary(caps))
+        u = BinaryDiskFunction(solve_binary(caps))
         with pytest.raises(DomainError):
             l1_distance(u, u, samples=500)
 
     def test_deterministic(self, caps, band):
-        u = config_to_function(solve_binary(caps))
-        w = config_to_function(solve_binary(band))
+        u = BinaryDiskFunction(solve_binary(caps))
+        w = BinaryDiskFunction(solve_binary(band))
         a = l1_distance(u, w, samples=5000, seed=DEFAULT_SEED)
         b = l1_distance(u, w, samples=5000, seed=DEFAULT_SEED)
         assert a == b
