@@ -312,9 +312,11 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     the smallest split index (see ``_pick``).  The interval DP is filled one
     half-span ``h`` at a time, all (start, split) pairs of intervals
     ``(i, i + 2h)`` in one numpy computation, so the Python loop runs m/2
-    times.  The tables are span-major and half-size, ``(m/2 + 1, m + 1)``,
-    about 40 MB at the 2000-transition cap; time stays O(m^3).  Refuses more
-    than 2000 transitions.
+    times.  The tables are span-major and half-size: ``E``, ``A`` and the
+    splits ``K`` are ``(m/2 + 1, m + 1)``, and the chord terms ``C`` and
+    ``S``, computed once per call, are ``(m/2, m)``; about 72 MB at the
+    2000-transition cap.  Time stays O(m^3).  Refuses more than 2000
+    transitions.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -342,13 +344,20 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     E_out = sliding_window_view(E.ravel(), n + 1)
     A_out = sliding_window_view(A.ravel(), n + 1)
     u_at = sliding_window_view(np.concatenate((u, np.zeros(n))), n)  # u_at[s, i] = u[s+i]
+    # chord (i, i + 1 + 2t) terms, span-major like E: C[t, i] is its length,
+    # S[t, i] its signed area term (entries with i + 1 + 2t >= n read the
+    # zero padding of u_at and are never used)
+    S = u_at[1::2] - u
+    C = np.sin(S * 0.5)
+    C *= 2.0
+    np.sin(S, out=S)
+    S *= sgn
     cols = np.arange(n + 1)
     for h in range(1, half + 1):
         rows = n - 2 * h + 1
-        d = u_at[1 : 2 * h : 2, :rows] - u[:rows]
         start = (h - 1) * (n + 1) + 2
-        e = 2.0 * np.sin(0.5 * d) + E[:h, 1 : 1 + rows] + E_out[start :: 1 - n][:h, :rows]
-        a = sgn[:rows] * np.sin(d) + A[:h, 1 : 1 + rows] + A_out[start :: 1 - n][:h, :rows]
+        e = C[:h, :rows] + E[:h, 1 : 1 + rows] + E_out[start :: 1 - n][:h, :rows]
+        a = S[:h, :rows] + A[:h, 1 : 1 + rows] + A_out[start :: 1 - n][:h, :rows]
         t = _pick(e, a)
         E[h, :rows] = e[t, cols[:rows]]
         A[h, :rows] = a[t, cols[:rows]]

@@ -6,7 +6,10 @@ of pi, or dyadic offsets from pi/2), and because pi is irrational two such
 angles are equal iff their components are equal.  Ordering is decided through
 a float filter with a proven error bound, which settles almost every
 comparison, and otherwise through a 75-digit rational enclosure of pi, which is
-overwhelmingly tighter than any denominator this package produces.
+overwhelmingly tighter than any denominator this package produces.  When even
+that cannot decide, pi is refined on demand by Machin's formula in integers,
+doubling the digits up to ``PI_MAX_DIGITS``; past it the comparison is a
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 
@@ -30,6 +34,29 @@ _PI_DIGITS = (
 )
 PI_LO = Fraction(_PI_DIGITS)
 PI_HI = PI_LO + Fraction(1, 10**75)
+PI_MAX_DIGITS = 4800
+
+
+@lru_cache(maxsize=8)
+def _pi_enclosure(digits: int) -> Tuple[Fraction, Fraction]:
+    """lo < pi < hi with hi - lo = 2e-(digits + 1), from Machin's formula
+    pi = 16 arccot 5 - 4 arccot 239 in integers scaled by 10**(digits + 10).
+    Every truncating division is off by less than one unit, which over the
+    fewer than 10**4 terms of both series stays far below the 10**9 margin.
+    """
+    scale = 10 ** (digits + 10)
+
+    def arccot(x: int) -> int:
+        total = term = scale // x
+        n, sign = 3, -1
+        while term:
+            term //= x * x
+            total += sign * (term // n)
+            n, sign = n + 2, -sign
+        return total
+
+    pi = 16 * arccot(5) - 4 * arccot(239)
+    return Fraction(pi - 10**9, scale), Fraction(pi + 10**9, scale)
 
 
 def _sign(pi_mult: Fraction, offset: Fraction) -> int:
@@ -43,7 +70,9 @@ def _sign(pi_mult: Fraction, offset: Fraction) -> int:
     B = 8u*(|P| + |R|) + 32*eta stays above that after its own roundings, so
     |x| > B fixes the sign.  Otherwise (x near 0, an OverflowError, or an
     infinite P or x, which makes B infinite or x NaN) the exact enclosure
-    PI_LO < pi < PI_HI decides.
+    PI_LO < pi < PI_HI decides, refined to twice the digits as often as
+    needed up to PI_MAX_DIGITS; a value closer to zero than that resolves is
+    a DomainError.
     """
     if pi_mult == 0:
         return (offset > 0) - (offset < 0)
@@ -56,15 +85,20 @@ def _sign(pi_mult: Fraction, offset: Fraction) -> int:
         x = p + r
         if abs(x) > 2.0**-50 * (abs(p) + abs(r)) + 2.0**-1069:
             return 1 if x > 0 else -1
-    lo = pi_mult * (PI_LO if pi_mult > 0 else PI_HI) + offset
-    hi = pi_mult * (PI_HI if pi_mult > 0 else PI_LO) + offset
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    # pi_mult != 0 means the value cannot be exactly zero; reaching this point
-    # would need rational parts with ~1e75 denominators.
-    raise ArithmeticError("pi enclosure too coarse for this comparison")
+    # pi_mult != 0 means the value cannot be exactly zero, so a fine enough
+    # enclosure always decides
+    pi_lo, pi_hi, digits = PI_LO, PI_HI, 75
+    while True:
+        lo = pi_mult * (pi_lo if pi_mult > 0 else pi_hi) + offset
+        hi = pi_mult * (pi_hi if pi_mult > 0 else pi_lo) + offset
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if digits >= PI_MAX_DIGITS:
+            raise DomainError(f"angles too close to order with {PI_MAX_DIGITS} digits of pi")
+        digits *= 2
+        pi_lo, pi_hi = _pi_enclosure(digits)
 
 
 @dataclass(frozen=True)
@@ -75,8 +109,10 @@ class Angle:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pi_mult", Fraction(self.pi_mult))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        if type(self.pi_mult) is not Fraction:
+            object.__setattr__(self, "pi_mult", Fraction(self.pi_mult))
+        if type(self.offset) is not Fraction:
+            object.__setattr__(self, "offset", Fraction(self.offset))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -127,21 +163,23 @@ class Angle:
 
     # -- exact order ----------------------------------------------------
     def __lt__(self, other: "Angle") -> bool:
-        return (self - other).sign() < 0
+        return _sign(self.pi_mult - other.pi_mult, self.offset - other.offset) < 0
 
     def __le__(self, other: "Angle") -> bool:
-        return (self - other).sign() <= 0
+        return _sign(self.pi_mult - other.pi_mult, self.offset - other.offset) <= 0
 
     def __gt__(self, other: "Angle") -> bool:
-        return (self - other).sign() > 0
+        return _sign(self.pi_mult - other.pi_mult, self.offset - other.offset) > 0
 
     def __ge__(self, other: "Angle") -> bool:
-        return (self - other).sign() >= 0
+        return _sign(self.pi_mult - other.pi_mult, self.offset - other.offset) >= 0
 
     def normalized(self) -> "Angle":
         """The equivalent angle in [0, 2*pi)."""
         # first guess from the float estimate; the loops below make it exact
         k = math.floor((float(self.pi_mult) * math.pi + float(self.offset)) / math.tau)
+        if k == 0 and self.sign() >= 0 and _sign(self.pi_mult - 2, self.offset) < 0:
+            return self
         cand = Angle(self.pi_mult - 2 * k, self.offset)
         while cand.sign() < 0:
             cand = Angle(cand.pi_mult + 2, cand.offset)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lglab import circle_geometry
 from lglab.circle_geometry import (
     Angle,
     Arc,
@@ -64,6 +65,52 @@ class TestAngle:
         b = Angle(Fraction(1, 3), 0)
         assert b < a
         assert not a < b
+
+    def test_parts_are_exact_fractions(self):
+        class Half(Fraction):
+            pass
+
+        a = Angle(1, Half(1, 2))
+        assert type(a.pi_mult) is Fraction and type(a.offset) is Fraction
+        assert a == Angle(Fraction(1), Fraction(1, 2))
+        assert hash(a) == hash(Angle(Fraction(1), Fraction(1, 2)))
+
+    def test_normalized_keeps_an_angle_in_range(self):
+        a = Angle(Fraction(3, 2), Fraction(1, 7))
+        assert a.normalized() is a
+        assert Angle(0, 0).normalized() == Angle(0, 0)
+        assert Angle(2, 0).normalized() == Angle(0, 0)
+        assert Angle(2, Fraction(-1, 10**30)).normalized() == Angle(2, Fraction(-1, 10**30))
+        # the float guess of the turn count is 0 for both, yet the first is
+        # below 0 and the second just above 2*pi
+        tiny = Fraction(-1, 2**1074)
+        assert Angle(0, tiny).normalized() == Angle(2, tiny)
+        above = Angle(19, -17 * circle_geometry.PI_LO)
+        assert math.floor((float(above.pi_mult) * math.pi + float(above.offset)) / math.tau) == 0
+        assert above.normalized() == Angle(17, -17 * circle_geometry.PI_LO)
+
+
+class TestPiOnDemand:
+    def test_refined_enclosures_nest(self):
+        lo, hi = circle_geometry.PI_LO, circle_geometry.PI_HI
+        for digits in (150, 300, 600, 1200, 2400, 4800):
+            rlo, rhi = circle_geometry._pi_enclosure(digits)
+            assert lo < rlo < rhi < hi
+            assert rhi - rlo <= Fraction(2, 10 ** (digits + 1))
+            lo, hi = rlo, rhi
+
+    def test_signs_beyond_75_digits_are_decided(self):
+        lo, hi = circle_geometry._pi_enclosure(4800)
+        for den in (10**40, 10**200, 10**2000):
+            c = lo.limit_denominator(den)
+            expected = 1 if c < lo else -1
+            assert circle_geometry._sign(Fraction(1), -c) == expected
+            assert (Angle(0, c) < Angle(1)) == (expected > 0)
+
+    def test_past_the_cap_is_a_domain_error(self):
+        lo, _ = circle_geometry._pi_enclosure(2 * circle_geometry.PI_MAX_DIGITS)
+        with pytest.raises(DomainError):
+            circle_geometry._sign(Fraction(1), -lo)
 
 
 def test_ccw_measure_wraps():

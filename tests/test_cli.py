@@ -2,10 +2,12 @@ import io
 import json
 import math
 import contextlib
+from fractions import Fraction
 
 import pytest
 
-from lglab import __version__, analysis
+from lglab import __version__, analysis, circle_geometry
+from lglab.circle_geometry import Angle
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
 from lglab.cli import main
 
@@ -151,6 +153,33 @@ class TestSolve:
         code, out, err = run(["solve", str(p)])
         assert code == 1
         assert out == ""  # in particular no "bv_energy":"nan" report
+        assert json.loads(err)["error"] == "DomainError"
+
+    # pi limited to denominators <= 10**40, about 3.1e-81 below pi: ordering
+    # it against pi needs more than the 75 digits of pi kept in circle_geometry
+    PI_40 = "4427007044615115050034854648525685871587/1409160108506276783085718440252375099653"
+
+    def test_breakpoints_closer_than_75_digits_of_pi(self, tmp_path):
+        blob = {"breakpoints": [["1", "0"], ["0", self.PI_40]], "values": ["1", "0"]}
+        p = tmp_path / "close.json"
+        p.write_text(json.dumps(blob))
+        code, out, err = run(["solve", str(p)])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["matching"] == [[0, 1]]
+        assert rep["base_value"] == 1
+        data = PiecewiseConstantBoundary.from_json_dict(blob)
+        assert tuple(data.breakpoints) == (Angle(0, Fraction(self.PI_40)), Angle(1))
+
+    def test_breakpoints_past_the_pi_cap_structured_error(self, tmp_path):
+        lo, _ = circle_geometry._pi_enclosure(2 * circle_geometry.PI_MAX_DIGITS)
+        close = lo.limit_denominator(10**4000)
+        blob = {"breakpoints": [["1", "0"], ["0", f"{close.numerator}/{close.denominator}"]], "values": ["1", "0"]}
+        p = tmp_path / "too_close.json"
+        p.write_text(json.dumps(blob))
+        code, out, err = run(["solve", str(p)])
+        assert code == 1
+        assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
     def test_byte_identical_reports(self, f1_path):

@@ -49,12 +49,18 @@ def ref_sign(p: Fraction, r: Fraction) -> int:
     raise AssertionError("reference enclosure too coarse")
 
 
+def _no_refinement(digits):
+    raise ArithmeticError(f"refinement to {digits} digits reached")
+
+
 @pytest.fixture
 def undecided_exact_path(monkeypatch):
-    """An enclosure -10 < pi < 10 that decides no pair with |r| < 10|p|, so
-    a call that reaches the exact path raises ArithmeticError."""
+    """An enclosure -10 < pi < 10 that decides no pair with |r| < 10|p|, and
+    no refinement of it, so a call that reaches the exact path raises
+    ArithmeticError."""
     monkeypatch.setattr(circle_geometry, "PI_LO", Fraction(-10))
     monkeypatch.setattr(circle_geometry, "PI_HI", Fraction(10))
+    monkeypatch.setattr(circle_geometry, "_pi_enclosure", _no_refinement)
 
 
 def _frac(rng: random.Random, num: int, den: int) -> Fraction:
@@ -174,6 +180,20 @@ def test_adversarial_pairs_reach_the_exact_path(p, r, undecided_exact_path):
 )
 def test_clear_signs_are_decided_by_the_filter(p, r, undecided_exact_path):
     assert _sign(p, r) == ref_sign(p, r)
+
+
+# rational approximations of pi closer than the package's 75 digits resolve
+_BEYOND_75 = [_PI.limit_denominator(10**e) for e in (40, 45, 50, 55)]
+
+
+@pytest.mark.parametrize("c", _BEYOND_75)
+@pytest.mark.parametrize("k", [1, -3, 7])
+def test_signs_beyond_75_digits_refine_pi(c, k, monkeypatch):
+    assert _sign(Fraction(k), -k * c) == ref_sign(Fraction(k), -k * c)
+    assert _sign(Fraction(-k), k * c) == ref_sign(Fraction(-k), k * c)
+    monkeypatch.setattr(circle_geometry, "_pi_enclosure", _no_refinement)
+    with pytest.raises(ArithmeticError):
+        _sign(Fraction(k), -k * c)
 
 
 def test_zero_pi_part_is_exact():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from lglab.analysis import cap_config
 from lglab.circle_geometry import Angle, chord_length
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import solve_binary, transitions_of
@@ -27,8 +28,9 @@ _FORBIDDEN = 1e6
 _TIE_MARGIN = 1e-9
 
 
-def _assignment_oracle(data):
-    """Optimal matching, its canonical energy, and whether it is unique.
+def _assignment_oracle(data, probe_uniqueness=True):
+    """Optimal matching, its canonical energy, and whether it is unique
+    (``None`` without the probe, which costs one assignment per edge).
 
     Every other perfect assignment leaves out at least one edge of the
     optimum, so the optimum is unique exactly when forbidding each of its
@@ -41,14 +43,16 @@ def _assignment_oracle(data):
     cost = 2.0 * np.sin(0.5 * np.abs(u[fall][None, :] - u[rise][:, None]))
     rows, cols = linear_sum_assignment(cost)
     best = cost[rows, cols].sum()
-    unique = True
-    for r, c in zip(rows, cols):
-        saved, cost[r, c] = cost[r, c], _FORBIDDEN
-        alt_rows, alt_cols = linear_sum_assignment(cost)
-        cost[r, c] = saved
-        if cost[alt_rows, alt_cols].sum() <= best + _TIE_MARGIN:
-            unique = False
-            break
+    unique = None
+    if probe_uniqueness:
+        unique = True
+        for r, c in zip(rows, cols):
+            saved, cost[r, c] = cost[r, c], _FORBIDDEN
+            alt_rows, alt_cols = linear_sum_assignment(cost)
+            cost[r, c] = saved
+            if cost[alt_rows, alt_cols].sum() <= best + _TIE_MARGIN:
+                unique = False
+                break
     matching = tuple(sorted(tuple(sorted((rise[r], fall[c]))) for r, c in zip(rows, cols)))
     energy = math.fsum(chord_length(u[j] - u[i]) for i, j in matching)
     return matching, energy, unique
@@ -117,3 +121,26 @@ def test_oracle_sees_unique_and_tied_lattices():
     """The lattice cases above exercise both branches of the oracle."""
     flags = {_lattice_case(*case)[1][2] for case in LATTICES}
     assert flags == {True, False}
+
+
+def test_dp_matches_assignment_on_a_1000_transition_lattice():
+    data = _lattice(7, 1000, 4096)
+    _, energy, _ = _assignment_oracle(data, probe_uniqueness=False)
+    for mode in ("minimal", "maximal"):
+        cfg = solve_binary(data, mode)
+        assert len(cfg.transitions) == 1000
+        assert abs(cfg.energy - energy) <= 1e-12 * max(1.0, energy)
+
+
+def test_dp_at_cantor_stage_9():
+    """``fn(9)`` against its directly built cap configuration, ``gn(9)``
+    against the assignment oracle (1022 transitions each)."""
+    cfg = solve_binary(build_fn(9))
+    cap = cap_config(9)
+    assert cfg.matching == cap.matching
+    assert cfg.energy == cap.energy
+    data = build_gn(9)
+    _, energy, _ = _assignment_oracle(data, probe_uniqueness=False)
+    cfg = solve_binary(data)
+    assert len(cfg.transitions) == 1022
+    assert abs(cfg.energy - energy) <= 1e-12 * max(1.0, energy)
