@@ -1,14 +1,14 @@
 """Layer benchmark of the interval DP: ``solve_binary`` on large inputs.
 
-    python3 scripts/bench_solve.py [--tree LABEL=SRC ...] [--repeats N]
-        [--out BENCH_solve.json]
+    python3 scripts/bench_solve.py [--tree LABEL=SRC ...] [--out BENCH_solve.json]
 
 Each ``--tree`` names a source directory holding the ``lglab`` package (by
 default ``change=src`` of this checkout); give two, for example a checkout of
 the parent commit and this one, to compare them.  Every measurement is one
 fresh process that builds one instance, then times one ``solve_binary`` call
 and reads its peak RSS, so no run inherits another's memory high-water mark.
-The trees take turns going first, alternating by repeat.  The instances are
+Each tree runs each instance ``REPEATS`` times, and the trees take turns
+going first, alternating by repeat.  The instances are
 ``gn(8)`` (510 transitions), ``gn(9)`` (1022) and seeded subsets of the
 pi/4096 lattice with 1000 and 2000 transitions, all in minimal mode.
 
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("gn8", "gn9", "lattice1000", "lattice2000")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
+REPEATS = 10
 
 
 def build(name: str):
@@ -118,7 +119,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", metavar="LABEL=SRC",
                     help="a label and the source directory of one tree (repeatable)")
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default=str(ROOT / "BENCH_solve.json"))
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -127,10 +127,8 @@ def main(argv=None) -> int:
         return 0
 
     trees = [t.split("=", 1) for t in (args.tree or [f"change={ROOT / 'src'}"])]
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
     runs = {label: {n: [] for n in INSTANCES} for label, _ in trees}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         order = trees if r % 2 == 0 else trees[::-1]
         for n in INSTANCES:
             for label, src in order:
@@ -142,9 +140,9 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "solve_binary, one call per fresh process, minimal mode",
         "command": "python3 scripts/bench_solve.py " + " ".join(
-            f"--tree {label}=<{label} src>" for label, _ in trees) + f" --repeats {args.repeats}",
+            f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "trees": {},
     }
     for label, src in trees:

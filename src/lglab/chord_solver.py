@@ -348,7 +348,8 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     # S[t, i] its signed area term (entries with i + 1 + 2t >= n read the
     # zero padding of u_at and are never used)
     S = u_at[1::2] - u
-    C = np.sin(S * 0.5)
+    C = S * 0.5
+    np.sin(C, out=C)
     C *= 2.0
     np.sin(S, out=S)
     S *= sgn

@@ -178,12 +178,10 @@ class Angle:
         """The equivalent angle in [0, 2*pi)."""
         # first guess from the float estimate; the loops below make it exact
         k = math.floor((float(self.pi_mult) * math.pi + float(self.offset)) / math.tau)
-        if k == 0 and self.sign() >= 0 and _sign(self.pi_mult - 2, self.offset) < 0:
-            return self
-        cand = Angle(self.pi_mult - 2 * k, self.offset)
+        cand = self if k == 0 else Angle(self.pi_mult - 2 * k, self.offset)
         while cand.sign() < 0:
             cand = Angle(cand.pi_mult + 2, cand.offset)
-        while (cand - TWO_PI).sign() >= 0:
+        while _sign(cand.pi_mult - 2, cand.offset) >= 0:
             cand = Angle(cand.pi_mult - 2, cand.offset)
         return cand
 
