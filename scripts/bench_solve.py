@@ -10,7 +10,7 @@ and reads its peak RSS, so no run inherits another's memory high-water mark.
 Each tree runs each instance ``REPEATS`` times, and the trees take turns
 going first, alternating by repeat.  The instances are
 ``gn(8)`` (510 transitions), ``gn(9)`` (1022) and seeded subsets of the
-pi/4096 lattice with 1000 and 2000 transitions, all in minimal mode.
+pi/4096 lattice with 200, 1000 and 2000 transitions, all in minimal mode.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the solve time and of the peak RSS, the raw runs, the
@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-INSTANCES = ("gn8", "gn9", "lattice1000", "lattice2000")
+INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10

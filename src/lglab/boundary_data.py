@@ -546,22 +546,21 @@ def quantize(
     grid = np.arange(resolution) * h
     gidx = _project_indices(f.value_at_many(grid), lv)
 
-    # locate crossings between adjacent grid points (cyclically)
-    jumps = []
-    for j in range(resolution):
-        a, b = int(gidx[j]), int(gidx[(j + 1) % resolution])
-        if a != b:
-            step = 1 if b > a else -1
-            for t in range(a, b, step):
-                # crossing of the midpoint threshold between t and t+step
-                thr_idx = t if step == 1 else t - 1
-                jumps.append((grid[j], grid[j] + h, thr_idx, step))
-    if not jumps:
+    # locate crossings between adjacent grid points (cyclically): a step
+    # from level index a crosses the midpoint threshold between t and
+    # t + step for t = a, a + step, ..., in that order
+    nxt = np.roll(gidx, -1)
+    js = np.flatnonzero(gidx != nxt)
+    count = np.abs(nxt[js] - gidx[js])
+    jj = np.repeat(js, count)
+    steps = np.sign(nxt[jj] - gidx[jj])
+    t = gidx[jj] + steps * (np.arange(jj.size) - np.repeat(np.cumsum(count) - count, count))
+    if not jj.size:
         result = PiecewiseConstantBoundary.constant(lv[gidx[0]])
     else:
-        lo = np.array([j[0] for j in jumps])
-        hi = np.array([j[1] for j in jumps])
-        thr = (lv[:-1] + lv[1:])[np.array([j[2] for j in jumps])] / 2.0
+        lo = grid[jj]
+        hi = grid[jj] + h
+        thr = (lv[:-1] + lv[1:])[np.where(steps == 1, t, t - 1)] / 2.0
         s_lo = f.value_at_many(lo) < thr
         while float(np.max(hi - lo)) > 1e-12:
             mid = 0.5 * (lo + hi)
@@ -576,8 +575,7 @@ def quantize(
         bps: List[Angle] = []
         vals: List[float] = []
         current = int(gidx[0])
-        steps = [jumps[i][3] for i in order]
-        for pos, step in zip(cross[order], steps):
+        for pos, step in zip(cross[order], steps[order].tolist()):
             current += step
             bps.append(Angle.of_radians(Fraction(float(pos))))
             vals.append(float(lv[current]))

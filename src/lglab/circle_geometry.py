@@ -72,13 +72,14 @@ def _sign(pi_mult: Fraction, offset: Fraction) -> int:
     infinite P or x, which makes B infinite or x NaN) the exact enclosure
     PI_LO < pi < PI_HI decides, refined to twice the digits as often as
     needed up to PI_MAX_DIGITS; a value closer to zero than that resolves is
-    a DomainError.
+    a DomainError.  float(x) is x.numerator / x.denominator here, the same
+    correctly rounded value without the numbers.Rational dispatch.
     """
     if pi_mult == 0:
         return (offset > 0) - (offset < 0)
     try:
-        p = float(pi_mult) * math.pi
-        r = float(offset)
+        p = pi_mult.numerator / pi_mult.denominator * math.pi
+        r = offset.numerator / offset.denominator
     except OverflowError:
         pass
     else:
@@ -129,7 +130,8 @@ class Angle:
     @property
     def radians(self) -> float:
         # Single correctly rounded conversion through the rational enclosure.
-        return float(self.pi_mult * PI_LO + self.offset)
+        x = self.pi_mult * PI_LO + self.offset
+        return x.numerator / x.denominator
 
     def __float__(self) -> float:
         return self.radians
@@ -177,8 +179,10 @@ class Angle:
     def normalized(self) -> "Angle":
         """The equivalent angle in [0, 2*pi)."""
         # first guess from the float estimate; the loops below make it exact
-        k = math.floor((float(self.pi_mult) * math.pi + float(self.offset)) / math.tau)
-        cand = self if k == 0 else Angle(self.pi_mult - 2 * k, self.offset)
+        q, r = self.pi_mult, self.offset
+        x = q.numerator / q.denominator * math.pi + r.numerator / r.denominator
+        k = math.floor(x / math.tau)
+        cand = self if k == 0 else Angle(q - 2 * k, r)
         while cand.sign() < 0:
             cand = Angle(cand.pi_mult + 2, cand.offset)
         while _sign(cand.pi_mult - 2, cand.offset) >= 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Sequence, Union
 
 import numpy as np
@@ -52,16 +53,20 @@ def _scrambled_radical_inverse(n: int, base: int, rng: np.random.Generator) -> n
     return out
 
 
+@lru_cache(maxsize=2)
 def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """n quasirandom points equidistributed in the open unit disk: the polar
     map of scipy's ``qmc.Halton(d=2, scramble=True, seed=seed).random(n)``,
-    bit for bit (``tests/test_level_stack.py`` pins them), without scipy."""
+    bit for bit (``tests/test_level_stack.py`` pins them), without scipy.
+    Memoized on ``(n, seed)``, so the array is read-only."""
     if n < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     r = np.sqrt(_scrambled_radical_inverse(n, 2, rng))
     th = 2.0 * math.pi * _scrambled_radical_inverse(n, 3, rng)
-    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    pts.flags.writeable = False
+    return pts
 
 
 class NestednessError(RuntimeError):

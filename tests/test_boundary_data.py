@@ -290,6 +290,21 @@ class TestQuantize:
         assert crossings[0] == pytest.approx(math.pi / 2, abs=1e-9)
         assert crossings[1] == pytest.approx(3 * math.pi / 2, abs=1e-9)
 
+    def test_multi_level_steps_cross_every_threshold_in_order(self):
+        # within one grid cell the ramp climbs 0 -> 5 near 1 rad and falls
+        # back near 4 rad; every midpoint threshold is crossed once each way,
+        # in the order the ramp passes it
+        ramp = EvaluableBoundary(
+            lambda th: 5 * np.clip((th - 1.0) * 4000, 0, 1) - 5 * np.clip((th - 4.0) * 3000, 0, 1)
+        )
+        q = quantize(ramp, tuple(float(v) for v in range(6)), resolution=256)
+        assert q.values == (1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0)
+        x = [b.radians for b in q.breakpoints]
+        assert x == sorted(x)
+        up = [1.0 + (k + 0.5) / 20000 for k in range(5)]
+        down = [4.0 + (k + 0.5) / 15000 for k in range(5)]
+        assert x == pytest.approx(up + down, abs=1e-9)
+
     def test_missed_feature_warns_and_recovers(self):
         spike = EvaluableBoundary(
             lambda th: ((th > 2.99) & (th < 3.01)).astype(float)

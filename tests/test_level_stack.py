@@ -42,6 +42,13 @@ class TestDiskSamples:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, disk_samples(1000, seed=6))
 
+    def test_memoized_and_read_only(self):
+        a = disk_samples(1000, seed=5)
+        assert disk_samples(1000, seed=5) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
     def test_inside_disk_and_roughly_uniform(self):
         pts = disk_samples(20_000)
         r = np.hypot(pts[:, 0], pts[:, 1])

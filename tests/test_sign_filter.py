@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lglab import circle_geometry
-from lglab.circle_geometry import TWO_PI, Angle, _sign
+from lglab.chord_solver import Transition, TransitionSet
+from lglab.circle_geometry import TWO_PI, Angle, DomainError, _sign
 
 
 def _machin_pi(scale: int) -> int:
@@ -217,3 +218,109 @@ def test_normalized_is_exact_from_a_float_guess():
         assert ref_sign(n.pi_mult, n.offset) >= 0
         assert ref_sign(n.pi_mult - 2, n.offset) < 0
         assert n == (n + TWO_PI * 3).normalized()
+
+
+# -- the float filter on the transition order ---------------------------------
+
+def _accepted(angles) -> bool:
+    """Does ``TransitionSet`` accept these angles as alternating transitions?"""
+    trans = [Transition(a, i % 2 == 0) for i, a in enumerate(angles)]
+    try:
+        TransitionSet(trans, int(trans[-1].rising))
+    except DomainError:
+        return False
+    return True
+
+
+def _ref_increasing(angles) -> bool:
+    ns = [a.normalized() for a in angles]
+    return all(ref_sign(b.pi_mult - a.pi_mult, b.offset - a.offset) > 0 for a, b in zip(ns, ns[1:]))
+
+
+def _near(rng: random.Random, a: Angle) -> Angle:
+    """An angle within far less than 2**-48 of ``a``, on either side."""
+    kind = rng.randrange(3)
+    if kind == 0:  # offset nudge, 2**-49 down to 1e-40
+        return Angle(a.pi_mult, a.offset + rng.choice([-1, 1]) * Fraction(1, 2 ** rng.randint(49, 130)))
+    if kind == 1:  # pi part traded against a rational approximation of pi
+        d = Fraction(rng.choice([-1, 1]), 10 ** rng.randint(0, 8))
+        return Angle(a.pi_mult + d, a.offset - d * rng.choice(_PI_CONVERGENTS[2:]))
+    return a  # a duplicate
+
+
+def _huge(rng: random.Random, x: Fraction) -> Angle:
+    """About ``x`` radians, written with a huge pi part and a cancelling offset."""
+    q = Fraction(rng.choice([10**12, 10**15, 3**34 * 7, 10**17]) * rng.choice([-1, 1]))
+    return Angle(q, x - q * rng.choice([_PI, _PI_CONVERGENTS[-1]]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_transition_order_filter_decides_as_the_exact_order(seed):
+    rng = random.Random(seed)
+    base = [Angle(Fraction(rng.randint(0, 199), 100), Fraction(rng.randint(-50, 50), 10**rng.randint(3, 20)))
+            for _ in range(6)]
+    base.sort(key=lambda a: a.radians)
+    angles = []
+    for a in base:
+        kind = rng.randrange(3)
+        if kind == 0:
+            angles += [a, _near(rng, a)]
+        elif kind == 1:
+            x = Fraction(a.normalized().radians)
+            angles += [_huge(rng, x), _huge(rng, x + rng.choice([1, -1]) * Fraction(1, 2 ** rng.randint(49, 80)))]
+        else:
+            angles += [a, Angle(a.pi_mult, a.offset + Fraction(1, 10**6))]
+    assert _accepted(angles) == _ref_increasing(angles)
+    i = rng.randrange(len(angles) - 1)  # an out-of-order pair, usually
+    angles[i], angles[i + 1] = angles[i + 1], angles[i]
+    assert _accepted(angles) == _ref_increasing(angles)
+
+
+@pytest.mark.parametrize("e", [49, 52, 60, 100])
+def test_out_of_order_pairs_below_2_pow_48(e):
+    lo = Angle(Fraction(1, 3))
+    hi = Angle(Fraction(1, 3), Fraction(1, 2**e))
+    assert _accepted([lo, hi, Angle(1), Angle(Fraction(3, 2))])
+    assert not _accepted([hi, lo, Angle(1), Angle(Fraction(3, 2))])
+    # the same pair with its pi part traded against 355/113
+    hi = Angle(Fraction(1, 3) + 1, Fraction(1, 2**e) - Fraction(355, 113))
+    assert _accepted([lo, hi]) == (ref_sign(Fraction(1), Fraction(1, 2**e) - Fraction(355, 113)) > 0)
+    assert _accepted([hi, lo]) != _accepted([lo, hi])
+
+
+def test_float_order_can_disagree_with_the_exact_order():
+    # u rounds q*PI_LO + r, which is off the angle by q*(pi - PI_LO):
+    # a hair on either side of the midpoint between 1 and 1 + 2**-52 rounds
+    # to increasing floats, while the angles themselves decrease
+    mid, eps, q = 1 + Fraction(1, 2**53), Fraction(1, 10**70), 10**17
+    a = Angle(q, mid - eps - q * circle_geometry.PI_LO)
+    b = Angle(-q, mid + eps + q * circle_geometry.PI_LO)
+    assert a.normalized() == a and b.normalized() == b
+    assert (a.radians, b.radians) == (1.0, 1.0 + 2.0**-52)
+    assert ref_sign(b.pi_mult - a.pi_mult, b.offset - a.offset) < 0
+    assert not _accepted([a, b]) and _accepted([b, a])
+    # with |q| past 1e59 the error reaches whole radians
+    for q in (10**80, 10**100):
+        c = Angle(q, Fraction(3, 2) - q * _PI)  # 1.5 radians
+        assert c.normalized() == c and c.radians < -1e4
+        assert not _accepted([c, Angle(0, 1)])
+        assert _accepted([Angle(0, 1), c]) and _accepted([c, Angle(0, 2)])
+
+
+def test_huge_pi_parts_with_cancelling_offsets():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = Fraction(rng.randint(1, 6000), 1000)
+        gap = Fraction(rng.choice([-1, 1]), 2 ** rng.randint(40, 90))
+        pair = [_huge(rng, x), _huge(rng, x + gap)]
+        assert _accepted(pair) == _ref_increasing(pair) == (gap > 0)
+
+
+def test_separated_neighbours_take_no_exact_comparison(monkeypatch):
+    calls = []
+    real = Angle.__lt__
+    monkeypatch.setattr(Angle, "__lt__", lambda a, b: calls.append((a, b)) or real(a, b))
+    angles = [Angle(Fraction(k, 7)) for k in range(12)]
+    assert _accepted(angles) and calls == []
+    angles[5] = Angle(Fraction(4, 7), Fraction(1, 10**30))  # a hair above 4pi/7
+    assert _accepted(angles) and len(calls) == 1
