@@ -2,10 +2,11 @@
 
 Everything here reduces to three ingredients: closed-form energies of the
 Cantor-type boundary families, seeded Monte Carlo estimates (boundary
-traces, L1 distances, Crofton perimeter lengths), and exact containment of
-chord configurations.  Each driver returns a ScenarioReport whose verdicts
-carry the tolerance they were judged against, so a report is a
-self-contained pass/fail record.
+traces, L1 distances, Crofton perimeter lengths), and exact containment and
+crossing tests of chords, read off the circular order of their endpoints
+(``chord_solver.endpoint_ranks``).  Each driver returns a ScenarioReport
+whose verdicts carry the tolerance they were judged against, so a report is
+a self-contained pass/fail record.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .boundary_data import (
 from .chord_solver import (
     BinaryDiskFunction,
     ChordConfiguration,
-    _proper_params,
+    endpoint_ranks,
     enumerate_optimal,
     region_subset,
     select_optimal,
@@ -586,33 +587,38 @@ def monotone_pipeline(
 # min/max and perimeters
 
 def _unique_chords(*configs: ChordConfiguration):
-    """Deduplicated chords across configurations, with endpoint-angle pairs."""
+    """Deduplicated chords across configurations, with their endpoint ranks
+    in the merged order (see ``endpoint_ranks``) and endpoint points."""
     seen = set()
     out = []
-    for cfg in configs:
-        for pair, (p, q) in zip(cfg.chord_angle_pairs(), cfg.chord_segments()):
-            if pair in seen:
+    for cfg, ranks in zip(configs, endpoint_ranks(*configs)):
+        for (i, j), (p, q) in zip(cfg.matching, cfg.chord_segments()):
+            key = (ranks[i], ranks[j])
+            if key in seen:
                 continue
-            seen.add(pair)
-            out.append((pair, p, q))
+            seen.add(key)
+            out.append((key, p, q))
     return out
 
 
 def _chord_pieces(chords):
-    """Cut every chord at proper crossings with the others; return
-    (midpoint, length, unit normal) per piece."""
+    """Cut every chord where it properly crosses another; return (midpoint,
+    length, unit normal) per piece.  Two chords cross exactly when their
+    endpoint ranks strictly interleave; floats only place the crossing."""
     pieces = []
-    for i, (pair, p, q) in enumerate(chords):
-        others = [(pp, qq) for j, (pr, pp, qq) in enumerate(chords) if j != i]
-        other_pairs = [pr for j, (pr, _, _) in enumerate(chords) if j != i]
-        ts = _proper_params(p, q, others, self_pair=pair, seg_pairs=other_pairs)
-        knots = [0.0] + ts + [1.0]
+    for (a, b), p, q in chords:
         d = q - p
+        ts = []
+        for (c, e), pp, qq in chords:
+            if a < c < b < e or c < a < e < b:
+                f, w = qq - pp, pp - p
+                ts.append((w[0] * f[1] - w[1] * f[0]) / (d[0] * f[1] - d[1] * f[0]))
+        knots = [0.0] + sorted(ts) + [1.0]
         length = float(np.hypot(*d))
         normal = np.array([-d[1], d[0]]) / length
-        for a, b in zip(knots[:-1], knots[1:]):
-            mid = p + 0.5 * (a + b) * d
-            pieces.append((mid, (b - a) * length, normal))
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            mid = p + 0.5 * (lo + hi) * d
+            pieces.append((mid, (hi - lo) * length, normal))
     return pieces
 
 

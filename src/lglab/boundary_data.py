@@ -570,14 +570,19 @@ def quantize(
             hi = np.where(take_lo, hi, mid)
         cross = 0.5 * (lo + hi)
 
-        # assemble: sort crossings, track the level index after each
+        # assemble: sort crossings, track the level index after each; the
+        # crossings of one jump over several thresholds bisect to one angle,
+        # which becomes one breakpoint carrying the last value
         order = np.argsort(cross, kind="stable")
         bps: List[Angle] = []
         vals: List[float] = []
         current = int(gidx[0])
         for pos, step in zip(cross[order], steps[order].tolist()):
             current += step
-            bps.append(Angle.of_radians(Fraction(float(pos))))
+            bp = Angle.of_radians(Fraction(float(pos)))
+            if bps and bps[-1] == bp:
+                del bps[-1], vals[-1]
+            bps.append(bp)
             vals.append(float(lv[current]))
         result = PiecewiseConstantBoundary(bps, vals)
 

@@ -12,9 +12,12 @@ deterministically.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +30,6 @@ from .circle_geometry import (
     ChordEdge,
     DomainError,
     chord_length,
-    point_in_cell,
 )
 
 MAX_TRANSITIONS = 2000
@@ -50,7 +52,7 @@ class TransitionSet(tuple):
     base consistency; configurations built on one set share it unchecked.
 
     Order is read off ``u`` where safe: with eps = 2**-53, ``u[i]`` rounds
-    q*PI_LO + r for the angle v = q*pi + r and 0 < pi - PI_LO < 1e-75, so
+    q*p + r for the angle v = q*pi + r and a rational 0 < pi - p < 1e-75, so
     |u[i] - v| <= e_i = eps*|u[i]| + 1e-75*|q| + 2**-1075 (``normalized``
     keeps |q| < 1.2e308).  The computed tol_i = 2eps*|u[i]| + 1e-74*|q| +
     2**-1070 exceeds 1.9*e_i, and g = fl(u[i+1] - u[i]) is within eps*|g| of
@@ -169,13 +171,6 @@ class ChordConfiguration:
         """Chord endpoints as planar points, aligned with ``matching``."""
         pts = [np.array(t.angle.point()) for t in self.transitions]
         return [(pts[i], pts[j]) for i, j in self.matching]
-
-    def chord_angle_pairs(self) -> List[frozenset]:
-        """Unordered endpoint angle pairs (for exact coincidence tests)."""
-        return [
-            frozenset((self.transitions[i].angle.normalized(), self.transitions[j].angle.normalized()))
-            for i, j in self.matching
-        ]
 
     # -- cells --------------------------------------------------------------
     @cached_property
@@ -461,92 +456,58 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
 # ---------------------------------------------------------------------------
 # exact region containment
 
-_PARAM_GUARD = 1e-12
-
-
-def _proper_params(p: np.ndarray, q: np.ndarray, segs, self_pair=None, seg_pairs=None) -> List[float]:
-    """Parameters t in (0,1) where segment p->q properly crosses any of segs.
-
-    Chords sharing an exact endpoint angle with p->q only touch there, so
-    they are skipped outright; that keeps roundoff from promoting an
-    endpoint contact to a crossing.
-    """
-    out = []
-    d = q - p
-    for idx, (a, b) in enumerate(segs):
-        if self_pair is not None and seg_pairs is not None and (self_pair & seg_pairs[idx]):
-            continue
-        e = b - a
-        den = d[0] * e[1] - d[1] * e[0]
-        if den == 0.0:
-            continue  # parallel; distinct chords of one circle never overlap
-        w = a - p
-        t = (w[0] * e[1] - w[1] * e[0]) / den
-        s = (w[0] * d[1] - w[1] * d[0]) / den
-        if _PARAM_GUARD < t < 1.0 - _PARAM_GUARD and _PARAM_GUARD < s < 1.0 - _PARAM_GUARD:
-            out.append(t)
-    return sorted(out)
+def endpoint_ranks(*configs: ChordConfiguration) -> List[List[int]]:
+    """Rank of every transition of every configuration in the merged exact
+    ccw order of their normalized angles; equal angles share a rank.  Each
+    transition set is sorted already, so a merge orders them."""
+    ranks = [[0] * len(cfg.transitions) for cfg in configs]
+    tagged = (
+        [(t.angle.normalized(), c, k) for k, t in enumerate(cfg.transitions)]
+        for c, cfg in enumerate(configs)
+    )
+    r, prev = -1, None
+    for angle, c, k in heapq.merge(*tagged, key=itemgetter(0)):
+        if angle != prev:
+            r, prev = r + 1, angle
+        ranks[c][k] = r
+    return ranks
 
 
 def region_subset(inner: ChordConfiguration, outer: ChordConfiguration) -> bool:
     """Is the label-1 region of ``inner`` contained in that of ``outer``?
 
-    Exact up to double-precision geometric predicates:  (a) every inner
-    1-cell carries a verified interior witness that must be labeled 1 by
-    ``outer``; (b) since every outer chord separates outer labels, any outer
-    chord sub-segment interior to the inner 1-region witnesses escape, so
-    outer chords are cut at proper crossings with inner chords and midpoint
-    tested.  Exactly coincident chords lie on the shared boundary and are
-    skipped.
+    Exact, from the circular order of the chord endpoints alone (see
+    ``endpoint_ranks``).  Every inner cell meets the circle along an arc of
+    positive length, so containment holds exactly when (a) the inner data is
+    <= the outer data on every arc between consecutive endpoints and (b) no
+    outer chord enters the open inner 1-region.  For (b) an outer chord that
+    coincides with an inner one lies on the region's boundary and is
+    skipped; one whose endpoint ranks strictly interleave an inner chord's
+    crosses it and meets both inner labels; any other lies in one inner
+    cell, whose label is the inner base flipped once per inner chord (x, y)
+    with x <= p and q <= y for the chord's ranks p < q.
     """
-    if inner.n_chords == 0:
-        if inner.base_value == 0:
-            return True
-        return outer.n_chords == 0 and outer.base_value == 1
-    if outer.n_chords == 0:
-        return bool(outer.base_value)
-
-    # (a) one witness per inner 1-cell
-    for cell, label in inner.cells():
-        if label != 1:
+    ra, rb = endpoint_ranks(inner, outer)
+    # (a) inner data <= outer data on the arc after every rank (index -1 is
+    # the last transition, whose value is the base; with no transitions at
+    # all, the single arc is the whole circle)
+    vi = [t.rising for t in inner.transitions] or [inner.base_value]
+    vo = [t.rising for t in outer.transitions] or [outer.base_value]
+    n_ranks = max(ra[-1:] + rb[-1:], default=0) + 1
+    if any(vi[bisect_right(ra, r) - 1] > vo[bisect_right(rb, r) - 1] for r in range(n_ranks)):
+        return False
+    # (b) no outer chord enters the open inner 1-region
+    inner_chords = [(ra[i], ra[j]) for i, j in inner.matching]
+    coincident = set(inner_chords)
+    for i, j in outer.matching:
+        p, q = rb[i], rb[j]
+        if (p, q) in coincident:
             continue
-        witness = _cell_witness(cell)
-        if outer.evaluate_points(witness[None, :])[0] != 1:
-            return False
-
-    # (b) no outer chord may enter the open inner 1-region
-    inner_segs = inner.chord_segments()
-    inner_pair_list = inner.chord_angle_pairs()
-    inner_pairs = set(inner_pair_list)
-    for pair, (p, q) in zip(outer.chord_angle_pairs(), outer.chord_segments()):
-        if pair in inner_pairs:
-            continue
-        ts = _proper_params(p, q, inner_segs, self_pair=pair, seg_pairs=inner_pair_list)
-        knots = [0.0] + ts + [1.0]
-        mids = np.array([p + 0.5 * (a + b) * (q - p) for a, b in zip(knots[:-1], knots[1:])])
-        if np.any(inner.evaluate_points(mids) == 1):
+        label = inner.base_value
+        for x, y in inner_chords:
+            if x < p < y < q or p < x < q < y:
+                return False  # a proper crossing meets both inner labels
+            label ^= x <= p and q <= y
+        if label:
             return False
     return True
-
-
-def _cell_witness(cell: Cell) -> np.ndarray:
-    """A point strictly inside the cell, found under its largest arc edge."""
-    arcs = sorted(
-        cell.arc_edges(),
-        key=lambda e: (e.end.normalized() - e.start.normalized()).normalized().radians,
-        reverse=True,
-    )
-    for edge in arcs:
-        meas = (edge.end.normalized() - edge.start.normalized()).normalized().radians
-        mid = edge.start.normalized().radians + 0.5 * meas
-        sagitta = 1.0 - math.cos(0.5 * meas)
-        for depth in (0.5 * sagitta, 0.25 * sagitta, 0.0625 * sagitta, min(0.5 * sagitta, 1e-6)):
-            if depth <= 0.0:
-                continue
-            p = np.array([(1.0 - depth) * math.cos(mid), (1.0 - depth) * math.sin(mid)])
-            try:
-                if point_in_cell(cell, p):
-                    return p
-            except DomainError:
-                continue
-    raise RuntimeError("could not place a witness point inside a cell")

@@ -59,6 +59,24 @@ def _pi_enclosure(digits: int) -> Tuple[Fraction, Fraction]:
     return Fraction(pi - 10**9, scale), Fraction(pi + 10**9, scale)
 
 
+_PLAIN = 2**53  # multipliers below this get PI_LO and a float guess of turns
+
+
+def _pi_for(m: Fraction) -> Fraction:
+    """A rational below pi by less than 1e-40 / |m|, for multiplying by
+    numbers of size up to |m|: PI_LO when |m| < _PLAIN, else the lower end of
+    ``_pi_enclosure`` with the digits doubled from 150 until 10**(digits - 40)
+    exceeds |m|.  Compared in integers, which costs far less than Fraction
+    arithmetic on the common path."""
+    n, d = abs(m.numerator), m.denominator
+    if n < _PLAIN * d:
+        return PI_LO
+    digits = 150
+    while n >= 10 ** (digits - 40) * d:
+        digits *= 2
+    return _pi_enclosure(digits)[0]
+
+
 def _sign(pi_mult: Fraction, offset: Fraction) -> int:
     """Exact sign of pi_mult*pi + offset, float-filtered (Shewchuk, 1997).
 
@@ -129,8 +147,8 @@ class Angle:
     # -- numeric views ------------------------------------------------
     @property
     def radians(self) -> float:
-        # Single correctly rounded conversion through the rational enclosure.
-        x = self.pi_mult * PI_LO + self.offset
+        # Single correctly rounded conversion through a rational near pi.
+        x = self.pi_mult * _pi_for(self.pi_mult) + self.offset
         return x.numerator / x.denominator
 
     def __float__(self) -> float:
@@ -178,10 +196,15 @@ class Angle:
 
     def normalized(self) -> "Angle":
         """The equivalent angle in [0, 2*pi)."""
-        # first guess from the float estimate; the loops below make it exact
+        # first guess of the turns, from floats while both parts are small;
+        # the loops below make it exact
         q, r = self.pi_mult, self.offset
-        x = q.numerator / q.denominator * math.pi + r.numerator / r.denominator
-        k = math.floor(x / math.tau)
+        qf, rf = q.numerator / q.denominator, r.numerator / r.denominator
+        if abs(qf) < _PLAIN and abs(rf) < _PLAIN:
+            k = math.floor((qf * math.pi + rf) / math.tau)
+        else:
+            pi = _pi_for(max(abs(q), abs(r)))
+            k = math.floor((q * pi + r) / (2 * pi))
         cand = self if k == 0 else Angle(q - 2 * k, r)
         while cand.sign() < 0:
             cand = Angle(cand.pi_mult + 2, cand.offset)
@@ -359,88 +382,6 @@ def cell_area(cell: Cell) -> float:
         if isinstance(e, ArcEdge):
             area += segment_area(ccw_measure(e.start, e.end))
     return area
-
-
-# -- point membership -------------------------------------------------------
-
-_ON_EDGE_TOL = 1e-12
-
-
-def _dist_point_segment(p, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    t = 0.0 if den == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / den))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)
-
-
-def _dist_point_arc(p, start_rad: float, measure: float) -> float:
-    """Distance from an interior point to a ccw arc of the unit circle."""
-    px, py = p
-    ang = math.atan2(py, px) % math.tau
-    rel = (ang - start_rad) % math.tau
-    if rel <= measure:
-        return abs(1.0 - math.hypot(px, py))
-    ex, ey = math.cos(start_rad), math.sin(start_rad)
-    fx, fy = math.cos(start_rad + measure), math.sin(start_rad + measure)
-    return min(math.hypot(px - ex, py - ey), math.hypot(px - fx, py - fy))
-
-
-def _arc_monotone_pieces(start_rad: float, measure: float):
-    """Split a ccw arc into y-monotone pieces at angles pi/2 and 3pi/2."""
-    end = start_rad + measure
-    cuts = [start_rad]
-    k = math.floor((start_rad - math.pi / 2) / math.pi) + 1
-    s = math.pi / 2 + k * math.pi
-    while s < end:
-        if s > start_rad:
-            cuts.append(s)
-        s += math.pi
-    cuts.append(end)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def point_in_cell(cell: Cell, p: Sequence[float]) -> bool:
-    """Strict interior membership.  Points on an edge (within 1e-12) are out;
-    points not strictly inside the disk are a domain error."""
-    px, py = float(p[0]), float(p[1])
-    if math.hypot(px, py) >= 1.0:
-        raise DomainError("point_in_cell: point must lie strictly inside the disk")
-    # on-edge check first
-    for e in cell.edges:
-        a, b = e.endpoints()
-        if isinstance(e, ChordEdge):
-            if _dist_point_segment((px, py), a, b) <= _ON_EDGE_TOL:
-                return False
-        else:
-            srad = e.start.normalized().radians
-            meas = ccw_measure(e.start, e.end).radians
-            if _dist_point_arc((px, py), srad, meas) <= _ON_EDGE_TOL:
-                return False
-    # ray cast in +x direction
-    crossings = 0
-    for e in cell.edges:
-        if isinstance(e, ChordEdge):
-            (x0, y0), (x1, y1) = e.endpoints()
-            if (y0 > py) != (y1 > py):
-                xc = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-                if xc > px:
-                    crossings += 1
-        else:
-            srad = e.start.normalized().radians
-            meas = ccw_measure(e.start, e.end).radians
-            for t0, t1 in _arc_monotone_pieces(srad, meas):
-                y0, y1 = math.sin(t0), math.sin(t1)
-                if (y0 > py) != (y1 > py):
-                    xc = math.sqrt(max(0.0, 1.0 - py * py))
-                    if math.cos(0.5 * (t0 + t1)) < 0.0:
-                        xc = -xc
-                    if xc > px:
-                        crossings += 1
-    return crossings % 2 == 1
 
 
 def index_of_angle(sorted_angles: Sequence[Angle], x: Angle) -> int:

@@ -163,7 +163,7 @@ def cmd_solve(args) -> int:
             report = {"mode": args.mode, "kind": "binary", **_config_dict(cfg)}
             stack = None
         else:
-            stack = solve_general(data, args.mode, samples=args.samples, seed=args.seed)
+            stack = solve_general(data, args.mode)
             report = {
                 "mode": args.mode,
                 "kind": "stack",
@@ -338,7 +338,7 @@ def cmd_trace(args) -> int:
         if data.is_binary:
             fn = BinaryDiskFunction(solve_binary(data))
         else:
-            fn = solve_general(data, seed=args.seed)
+            fn = solve_general(data)
         est = analysis.trace(
             fn, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
         )
@@ -377,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["minimal", "maximal"], default="minimal")
     s.add_argument("--render", default=None, metavar="FILE.svg")
     s.add_argument("--out", default=None)
-    s.add_argument("--samples", type=int, default=20000)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="run a verification suite")

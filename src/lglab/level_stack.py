@@ -17,10 +17,9 @@ from typing import Callable, List, Sequence, Union
 import numpy as np
 
 from .circle_geometry import DomainError
-from .chord_solver import BinaryDiskFunction, ChordConfiguration, solve_binary
+from .chord_solver import BinaryDiskFunction, ChordConfiguration, region_subset, solve_binary
 
 DEFAULT_SEED = 0xC0FFEE
-NESTED_TOL = 1e-3
 
 
 def _scrambled_radical_inverse(n: int, base: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,14 +71,10 @@ def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 class NestednessError(RuntimeError):
     """Consecutive superlevel slices failed to nest."""
 
-    def __init__(self, t_low: float, t_high: float, excess: float):
+    def __init__(self, t_low: float, t_high: float):
         self.t_low = t_low
         self.t_high = t_high
-        self.excess = excess
-        super().__init__(
-            f"slice at threshold {t_high} exceeds slice at {t_low} "
-            f"by measure {excess:.3e}"
-        )
+        super().__init__(f"slice at threshold {t_high} is not contained in slice at {t_low}")
 
 
 @dataclass(frozen=True)
@@ -137,19 +132,13 @@ class LevelSetStack:
         return f"LevelSetStack({len(self.values)} values, {len(self.slices)} slices)"
 
 
-def solve_general(
-    data,
-    mode: str = "minimal",
-    check_nested: bool = True,
-    samples: int = 20000,
-    seed: int = DEFAULT_SEED,
-) -> LevelSetStack:
+def solve_general(data, mode: str = "minimal") -> LevelSetStack:
     """Solve piecewise constant data by stacking binary superlevel slices.
 
     Each threshold halfway between consecutive distinct data values is solved
-    independently; nestedness of the resulting regions is then spot-checked
-    by quasirandom sampling (one-sided excess below 1e-3) because it is a
-    consequence of optimality, not an input constraint.
+    independently; nestedness of the resulting regions is a consequence of
+    optimality, not an input constraint, so every pair of consecutive slices
+    is then checked exactly with ``region_subset``.
     """
     values = sorted(set(float(v) for v in data.values))
     if len(values) == 1:
@@ -159,18 +148,15 @@ def solve_general(
         t = 0.5 * (lo + hi)
         cfg = solve_binary(data.superlevel(t), mode)
         slices.append(LevelSlice(t, hi - lo, cfg))
-    if check_nested and len(slices) > 1:
-        check_nestedness(slices, disk_samples(samples, seed))
+    check_nestedness(slices)
     return LevelSetStack(values, slices)
 
 
-def check_nestedness(slices: Sequence[LevelSlice], pts: np.ndarray) -> None:
+def check_nestedness(slices: Sequence[LevelSlice]) -> None:
     """Raise NestednessError if a higher slice escapes the one below it."""
-    labels = [sl.config.evaluate_points(pts) for sl in slices]
-    for j in range(len(slices) - 1):
-        excess = math.pi * float(np.mean((labels[j + 1] == 1) & (labels[j] == 0)))
-        if excess >= NESTED_TOL:
-            raise NestednessError(slices[j].threshold, slices[j + 1].threshold, excess)
+    for low, high in zip(slices, slices[1:]):
+        if not region_subset(high.config, low.config):
+            raise NestednessError(low.threshold, high.threshold)
 
 
 def bv_energy(stack: LevelSetStack) -> float:

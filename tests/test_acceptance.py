@@ -23,6 +23,7 @@ from lglab.boundary_data import (
 from lglab.chord_solver import (
     BinaryDiskFunction,
     enumerate_optimal,
+    region_subset,
     solve_binary,
 )
 from lglab.level_stack import disk_samples
@@ -118,6 +119,7 @@ def test_criterion_04_solver_oracle_equivalence():
         assert hi.energy == emin
         inside_min = lo.evaluate_points(pts) == 1
         for cfg in opts:
+            assert region_subset(lo, cfg) and region_subset(cfg, hi)
             excess = math.pi * float(np.mean(inside_min & (cfg.evaluate_points(pts) == 0)))
             assert excess < 1e-3
 

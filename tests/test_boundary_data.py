@@ -305,6 +305,22 @@ class TestQuantize:
         down = [4.0 + (k + 0.5) / 15000 for k in range(5)]
         assert x == pytest.approx(up + down, abs=1e-9)
 
+    def test_jump_over_several_levels_is_one_breakpoint(self):
+        # each jump crosses two or three midpoint thresholds at one angle
+        steps = EvaluableBoundary(lambda th: np.where(th < 1.0, 0.0, np.where(th < 3.0, 9.0, 3.0)))
+        q = quantize(steps, (0.0, 3.0, 4.5, 9.0))
+        assert q.values == (9.0, 3.0, 0.0)
+        assert [b.radians for b in q.breakpoints] == pytest.approx([1.0, 3.0, math.tau], abs=1e-9)
+
+    def test_jumps_mixed_with_smooth_crossings(self):
+        g = EvaluableBoundary(lambda th: np.floor(4 * np.sin(3 * th) ** 2 + 3 * (th > 2)))
+        q = quantize(g, tuple(float(v) for v in range(8)))
+        th = np.linspace(0.0, math.tau, 4001)[:-1] + 1e-4
+        assert np.array_equal(q.value_at_many(th), g(th))
+        jump = [k for k, b in enumerate(q.breakpoints) if abs(b.radians - 2.0) < 1e-9]
+        assert len(jump) == 1
+        assert q.values[jump[0]] - q.values[jump[0] - 1] == 3.0
+
     def test_missed_feature_warns_and_recovers(self):
         spike = EvaluableBoundary(
             lambda th: ((th > 2.99) & (th < 3.01)).astype(float)

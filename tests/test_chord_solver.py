@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lglab.circle_geometry import Angle, DomainError, cell_area
+from lglab.circle_geometry import Angle, Arc, DomainError, cell_area
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import (
     BinaryDiskFunction,
@@ -21,6 +21,7 @@ from lglab.chord_solver import (
     transitions_of,
 )
 from lglab.analysis import cap_config, cut_config, random_binary_data
+from lglab.level_stack import disk_samples
 
 PCB = PiecewiseConstantBoundary
 
@@ -288,6 +289,91 @@ class TestRegionSubset:
             lo = solve_binary(data, "minimal")
             hi = solve_binary(data, "maximal")
             assert region_subset(lo, hi)
+
+
+def _cells(bits, q):
+    """Binary data on the pi/q lattice: ``bits[k]`` holds on [k, k+1]*pi/q."""
+    ks = [k for k in range(len(bits)) if bits[k] != bits[k - 1]]
+    if not ks:
+        return PCB.constant(float(bits[0]))
+    return PCB([Angle(Fraction(k, q), 0) for k in ks], [float(bits[k]) for k in ks])
+
+
+def _runs(rng, q, max_runs=5):
+    """0/1 cells on the pi/q lattice with at most ``max_runs`` runs of 1s."""
+    m = rng.randint(0, min(max_runs, q))
+    cuts = sorted(rng.sample(range(2 * q), 2 * m))
+    bits = [0] * (2 * q)
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        bits[a:b] = [1] * (b - a)
+    return [1 - b for b in bits] if rng.random() < 0.2 else bits
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_region_subset_against_samples(seed):
+    """When ``region_subset`` says yes, no sample point is inner 1 and outer
+    0.  Coarse lattices make shared endpoints and coincident chords common;
+    the pairs mix unrelated data with ordered data f <= f|g."""
+    rng = random.Random(seed)
+    pts = disk_samples(20000)
+    contained = 0
+    for _ in range(100):
+        q = rng.choice([2, 4, 8, 16, 32])
+        a, b = _runs(rng, q), _runs(rng, q)
+        kind = rng.randrange(3)
+        if kind == 1:
+            b = [x | y for x, y in zip(a, b)]
+        elif kind == 2:
+            a = [x & y for x, y in zip(a, b)]
+        inner = solve_binary(_cells(a, q), rng.choice(("minimal", "maximal")))
+        outer = solve_binary(_cells(b, q), rng.choice(("minimal", "maximal")))
+        if region_subset(inner, outer):
+            contained += 1
+            escape = (inner.evaluate_points(pts) == 1) & (outer.evaluate_points(pts) == 0)
+            assert not escape.any()
+    assert contained >= 30
+
+
+def _lattice_config(arcs, matching):
+    """Label 1 on the arcs [a, b]*pi/8, with the chords ``matching`` (indices
+    into the transitions sorted from angle 0)."""
+    data = PCB.from_arcs([Arc(_pi(Fraction(a, 8)), _pi(Fraction(b, 8))) for a, b in arcs])
+    trans, base = transitions_of(data)
+    return ChordConfiguration(trans, matching, base)
+
+
+class TestRegionSubsetByHand:
+    def test_shared_endpoint(self):
+        small = _lattice_config([(2, 4)], [(0, 1)])
+        large = _lattice_config([(2, 6)], [(0, 1)])
+        assert region_subset(small, large)
+        assert not region_subset(large, small)
+
+    def test_coincident_chord(self):
+        one = _lattice_config([(2, 4)], [(0, 1)])
+        two = _lattice_config([(2, 4), (8, 12)], [(0, 1), (2, 3)])
+        assert region_subset(one, two)
+        assert not region_subset(two, one)
+
+    def test_touching_only_at_an_endpoint(self):
+        left = _lattice_config([(2, 4)], [(0, 1)])
+        right = _lattice_config([(4, 6)], [(0, 1)])
+        assert not region_subset(left, right)
+        assert not region_subset(right, left)
+        # the two caps of one data set inside its band: each cap chord meets
+        # both band chords at its endpoints and lies inside the band
+        caps = _lattice_config([(2, 6), (10, 14)], [(0, 1), (2, 3)])
+        band = _lattice_config([(2, 6), (10, 14)], [(0, 3), (1, 2)])
+        assert region_subset(caps, band)
+        assert not region_subset(band, caps)
+
+    def test_crossing_chord_escapes(self):
+        # the data order holds, but the outer chord (1, 9) properly crosses
+        # the inner band chord (8, 10)
+        band = _lattice_config([(2, 8), (10, 14)], [(0, 3), (1, 2)])
+        caps = _lattice_config([(1, 9), (10, 15)], [(0, 1), (2, 3)])
+        assert not region_subset(band, caps)
+        assert region_subset(band, _lattice_config([(1, 9), (10, 15)], [(0, 3), (1, 2)]))
 
 
 def test_transition_cap():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from lglab.circle_geometry import (
     cell_area,
     chord_length,
     index_of_angle,
-    point_in_cell,
     segment_area,
 )
 
@@ -88,6 +88,50 @@ class TestAngle:
         above = Angle(19, -17 * circle_geometry.PI_LO)
         assert math.floor((float(above.pi_mult) * math.pi + float(above.offset)) / math.tau) == 0
         assert above.normalized() == Angle(17, -17 * circle_geometry.PI_LO)
+
+
+def _fastest(fn, repeats=3):
+    """The least wall time of ``repeats`` calls, and the last result."""
+    best = math.inf
+    for _ in range(repeats):
+        t = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t)
+    return best, out
+
+
+class TestHugePiMult:
+    """Angle parts far past 2**53: multipliers of pi with offsets that
+    cancel them, and a huge offset alone."""
+
+    def test_radians_of_a_cancelled_multiple(self):
+        lo300, _ = circle_geometry._pi_enclosure(300)
+        a = Angle(10**80, Fraction(3, 2) - 10**80 * lo300)
+        assert a.radians == 1.5
+        assert a.normalized() == a
+
+    def test_normalized_is_not_one_turn_per_step(self):
+        q = 7 * 3**40
+        lo200, _ = circle_geometry._pi_enclosure(200)
+        a = Angle(q, 1 - q * lo200)
+        best, n = _fastest(a.normalized)
+        assert best < 0.01
+        assert n == a
+        assert a.radians == 1.0
+
+    def test_normalized_near_1e25_is_fast_and_exact(self):
+        q = 10**25 + Fraction(1, 3)
+        lo100, _ = circle_geometry._pi_enclosure(100)
+        a = Angle(q, 50 - q * lo100)  # about 50 rad, 7 turns past [0, 2*pi)
+        best, n = _fastest(a.normalized)
+        assert best < 0.01
+        assert n == Angle(q - 14, a.offset)
+        assert n.radians == pytest.approx(50 - 14 * math.pi, abs=1e-12)
+
+    def test_normalized_huge_offset(self):
+        n = Angle.of_radians(10**30).normalized()
+        assert n.offset == 10**30 and n.pi_mult.denominator == 1
+        assert Angle(0, 0) <= n < Angle(2, 0)
 
 
 class TestPiOnDemand:
@@ -215,55 +259,6 @@ class TestCell:
         assert cell_area(_quarter_cell()) == pytest.approx(
             segment_area(math.pi / 2), abs=1e-12
         )
-
-    def test_point_in_cell_against_ray_casting(self):
-        cells = [_half_disk_cell(), _quarter_cell()]
-        rng = np.random.default_rng(7)
-        for cell in cells:
-            poly = _polygonalize(cell, 512)
-            pts = rng.uniform(-1.0, 1.0, size=(400, 2))
-            pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 0.999]
-            for p in pts:
-                if _dist_to_polyline(p, poly) < 2e-3:
-                    continue  # too close to the boundary for the reference
-                assert point_in_cell(cell, p) == _ray_cast(p, poly)
-
-
-def _polygonalize(cell, n):
-    pts = []
-    for edge in cell.edges:
-        a = edge.start.normalized().radians
-        b = edge.end.normalized().radians
-        if isinstance(edge, ArcEdge):
-            meas = (b - a) % math.tau
-            ts = a + meas * np.linspace(0.0, 1.0, n, endpoint=False)
-            pts.extend(np.column_stack([np.cos(ts), np.sin(ts)]))
-        else:
-            p, q = edge.endpoints()
-            pts.append(np.asarray(p))
-    return np.asarray(pts)
-
-
-def _ray_cast(p, poly):
-    x, y = p
-    n = len(poly)
-    inside = False
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xx = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
-            if xx > x:
-                inside = not inside
-    return inside
-
-
-def _dist_to_polyline(p, poly):
-    q = np.roll(poly, -1, axis=0)
-    d = q - poly
-    t = np.clip(np.einsum("ij,ij->i", p - poly, d) / np.einsum("ij,ij->i", d, d), 0, 1)
-    proj = poly + t[:, None] * d
-    return float(np.min(np.hypot(*(p - proj).T)))
 
 
 def test_index_of_angle():

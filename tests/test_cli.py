@@ -331,7 +331,6 @@ def test_version_flag():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "{caps}", "--seed", "-1"],
         ["verify", "nonlocality", "--seed", "-1"],
         ["verify", "monotone", "--seed", "-1"],
         ["verify", "inequalities", "--seed", "-5"],

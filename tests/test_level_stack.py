@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lglab.circle_geometry import Angle, DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
-from lglab.chord_solver import BinaryDiskFunction, solve_binary
+from lglab.chord_solver import BinaryDiskFunction, region_subset, solve_binary
 from lglab.level_stack import (
     DEFAULT_SEED,
     LevelSetStack,
@@ -161,7 +162,7 @@ class TestBVEnergy:
 
 class TestNestedness:
     def test_good_stack_passes(self):
-        stack = solve_general(_three_level(), check_nested=True)
+        stack = solve_general(_three_level())
         assert isinstance(stack, LevelSetStack)
 
     def test_violation_raises(self, caps, band):
@@ -169,10 +170,27 @@ class TestNestedness:
         a = LevelSlice(0.25, 0.5, solve_binary(caps))
         b = LevelSlice(0.75, 0.5, solve_binary(band))
         with pytest.raises(NestednessError) as info:
-            check_nestedness([a, b], disk_samples(4000))
+            check_nestedness([a, b])
         assert info.value.t_low == 0.25
         assert info.value.t_high == 0.75
-        assert info.value.excess > 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.sampled_from([2, 4, 8, 16]),
+        data=st.data(),
+        mode=st.sampled_from(["minimal", "maximal"]),
+    )
+    def test_slices_nest_exactly(self, q, data, mode):
+        ks = data.draw(st.lists(st.integers(0, 2 * q - 1), min_size=2, max_size=10, unique=True))
+        vals = []
+        for i in range(len(ks)):
+            # neighbours differ, cyclically
+            banned = {vals[-1], vals[0]} if i == len(ks) - 1 else set(vals[-1:])
+            allowed = [v for v in (0.0, 1.0, 2.5, 4.0) if v not in banned]
+            vals.append(data.draw(st.sampled_from(allowed)))
+        stack = solve_general(PCB([Angle(Fraction(k, q), 0) for k in sorted(ks)], vals), mode)
+        for low, high in zip(stack.slices, stack.slices[1:]):
+            assert region_subset(high.config, low.config)
 
     def test_values_must_increase(self, caps):
         sl = LevelSlice(0.5, 1.0, solve_binary(caps))

@@ -289,20 +289,21 @@ def test_out_of_order_pairs_below_2_pow_48(e):
 
 
 def test_float_order_can_disagree_with_the_exact_order():
-    # u rounds q*PI_LO + r, which is off the angle by q*(pi - PI_LO):
-    # a hair on either side of the midpoint between 1 and 1 + 2**-52 rounds
-    # to increasing floats, while the angles themselves decrease
-    mid, eps, q = 1 + Fraction(1, 2**53), Fraction(1, 10**70), 10**17
+    # below 2**53, u rounds q*PI_LO + r, which is off the angle by
+    # q*(pi - PI_LO): a hair on either side of the midpoint between 1 and
+    # 1 + 2**-52 rounds to increasing floats, while the angles decrease
+    mid, eps, q = 1 + Fraction(1, 2**53), Fraction(1, 10**70), 10**15
     a = Angle(q, mid - eps - q * circle_geometry.PI_LO)
     b = Angle(-q, mid + eps + q * circle_geometry.PI_LO)
     assert a.normalized() == a and b.normalized() == b
     assert (a.radians, b.radians) == (1.0, 1.0 + 2.0**-52)
     assert ref_sign(b.pi_mult - a.pi_mult, b.offset - a.offset) < 0
     assert not _accepted([a, b]) and _accepted([b, a])
-    # with |q| past 1e59 the error reaches whole radians
+    # past 2**53 radians takes more digits of pi; with PI_LO the error
+    # would reach whole radians once |q| passes 1e59
     for q in (10**80, 10**100):
         c = Angle(q, Fraction(3, 2) - q * _PI)  # 1.5 radians
-        assert c.normalized() == c and c.radians < -1e4
+        assert c.normalized() == c and c.radians == 1.5
         assert not _accepted([c, Angle(0, 1)])
         assert _accepted([Angle(0, 1), c]) and _accepted([c, Angle(0, 2)])
 
