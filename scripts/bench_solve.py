@@ -1,16 +1,20 @@
-"""Layer benchmark of the interval DP: ``solve_binary`` on large inputs.
+"""Layer benchmark of the solver: ``solve_binary`` on large inputs and the
+exhaustive ``enumerate_optimal`` at its 16-transition cap.
 
     python3 scripts/bench_solve.py [--tree LABEL=SRC ...] [--out BENCH_solve.json]
 
 Each ``--tree`` names a source directory holding the ``lglab`` package (by
 default ``change=src`` of this checkout); give two, for example a checkout of
 the parent commit and this one, to compare them.  Every measurement is one
-fresh process that builds one instance, then times one ``solve_binary`` call
-and reads its peak RSS, so no run inherits another's memory high-water mark.
-Each tree runs each instance ``REPEATS`` times, and the trees take turns
-going first, alternating by repeat.  The instances are
-``gn(8)`` (510 transitions), ``gn(9)`` (1022) and seeded subsets of the
-pi/4096 lattice with 200, 1000 and 2000 transitions, all in minimal mode.
+fresh process that builds one instance, then times one call and reads its
+peak RSS, so no run inherits another's memory high-water mark.  Each tree
+runs each instance ``REPEATS`` times, and the trees take turns going first,
+alternating by repeat.  The ``solve_binary`` instances, all in minimal mode,
+are ``gn(8)`` (510 transitions), ``gn(9)`` (1022) and seeded subsets of the
+pi/4096 lattice with 200, 1000 and 2000 transitions (``latticeM``).  The
+``enumerate_optimal`` instances ``enumMqQ`` take M transitions of the pi/Q
+lattice: all 16 points of pi/8, where energies tie, and a seeded subset of
+pi/2048.  The call is chosen by the instance name.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the solve time and of the peak RSS, the raw runs, the
@@ -31,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000")
+INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10
@@ -47,22 +51,26 @@ def build(name: str):
 
     if name.startswith("gn"):
         return build_gn(int(name[2:]))
-    m = int(name[len("lattice"):])
+    if name.startswith("enum"):
+        m, q = map(int, name[len("enum"):].split("q"))
+    else:
+        m, q = int(name[len("lattice"):]), LATTICE_Q
     rng = random.Random(LATTICE_SEED + m)
-    ks = sorted(rng.sample(range(2 * LATTICE_Q), m))
+    ks = sorted(rng.sample(range(2 * q), m))
     return PiecewiseConstantBoundary(
-        [Angle(Fraction(k, LATTICE_Q)) for k in ks], [float(i % 2) for i in range(m)]
+        [Angle(Fraction(k, q)) for k in ks], [float(i % 2) for i in range(m)]
     )
 
 
 def child(name: str) -> None:
-    """Build ``name``, solve it once, print the time and memory as JSON."""
-    from lglab.chord_solver import solve_binary
+    """Build ``name``, solve or enumerate it once, print the time and
+    memory as JSON (for an enumeration, the first optimum's energy)."""
+    from lglab.chord_solver import enumerate_optimal, solve_binary
 
     data = build(name)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t = time.perf_counter()
-    cfg = solve_binary(data)
+    cfg = enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
     solve_s = time.perf_counter() - t
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({
@@ -138,7 +146,7 @@ def main(argv=None) -> int:
                       f"{res['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
 
     report = {
-        "benchmark": "solve_binary, one call per fresh process, minimal mode",
+        "benchmark": "solve_binary (minimal mode) or enumerate_optimal, one call per fresh process",
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),

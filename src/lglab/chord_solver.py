@@ -16,7 +16,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from .circle_geometry import (
     Cell,
     ChordEdge,
     DomainError,
+    _PLAIN,
     chord_length,
 )
 
@@ -47,24 +48,29 @@ class Transition:
 
 class TransitionSet(tuple):
     """Validated, immutable ccw transition tuple that also holds the value
-    across angle 0 (``base``) and the float radians ``u`` of the normalized
-    angles (read only).  The only place that checks order, alternation and
-    base consistency; configurations built on one set share it unchecked.
+    across angle 0 (``base``), the normalized ``angles`` and their float
+    radians ``u`` (read only).  The only place that checks order,
+    alternation and base consistency; configurations built on one set share
+    it unchecked.
 
     Order is read off ``u`` where safe: with eps = 2**-53, ``u[i]`` rounds
-    q*p + r for the angle v = q*pi + r and a rational 0 < pi - p < 1e-75, so
-    |u[i] - v| <= e_i = eps*|u[i]| + 1e-75*|q| + 2**-1075 (``normalized``
-    keeps |q| < 1.2e308).  The computed tol_i = 2eps*|u[i]| + 1e-74*|q| +
-    2**-1070 exceeds 1.9*e_i, and g = fl(u[i+1] - u[i]) is within eps*|g| of
-    the exact difference, so g > fl(tol_i + tol_{i+1}) proves v_i < v_{i+1}.
-    Only the other neighbours are compared exactly.
+    q*p + r for the angle v = q*pi + r, and for |q| < 2**53 the rational p
+    has 0 < pi - p < 1e-75, so |u[i] - v| <= e_i = eps*|u[i]| + 1e-75*|q| +
+    2**-1075.  The computed tol_i = 2eps*|u[i]| + 1e-74*|q| + 2**-1070
+    exceeds 1.9*e_i, and g = fl(u[i+1] - u[i]) is within eps*|g| of the
+    exact difference, so g > fl(tol_i + tol_{i+1}) proves v_i < v_{i+1}.
+    A larger |q| is read as infinite, and the other neighbours are compared
+    exactly.
     """
 
     def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
         self = super().__new__(cls, transitions)
-        angles = [t.angle.normalized() for t in self]
+        angles = tuple(t.angle.normalized() for t in self)
         u = np.array([a.radians for a in angles], dtype=float)
-        q = np.array([abs(a.pi_mult.numerator) / a.pi_mult.denominator for a in angles])
+        q = np.array([
+            abs(n) / d if abs(n) < _PLAIN * d else math.inf
+            for n, d in ((a.pi_mult.numerator, a.pi_mult.denominator) for a in angles)
+        ])
         tol = 2.0**-52 * np.abs(u) + 1e-74 * q + 2.0**-1070
         unsure = np.flatnonzero(np.diff(u) <= tol[:-1] + tol[1:])
         if not all(angles[i] < angles[i + 1] for i in unsure):
@@ -79,6 +85,7 @@ class TransitionSet(tuple):
             raise DomainError("base value inconsistent with transition types")
         u.flags.writeable = False
         object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "u", u)
         return self
 
@@ -404,23 +411,28 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
 ENUMERATION_CAP = 16
 
 
-def _all_matchings(n: int):
+@lru_cache(maxsize=None)
+def _all_matchings(n: int) -> np.ndarray:
+    """Every non-crossing matching of n points in recursion order, as a
+    read-only int8 table of shape (Catalan(n/2), n/2, 2)."""
     memo: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], ...]]] = {}
 
     def rec(i: int, j: int) -> List[Tuple[Tuple[int, int], ...]]:
         if i >= j:
             return [()]
-        key = (i, j)
-        if key not in memo:
+        if (i, j) not in memo:
             outs = []
             for k in range(i + 1, j, 2):
                 for inner in rec(i + 1, k):
                     for outer in rec(k + 1, j):
                         outs.append(((i, k),) + inner + outer)
-            memo[key] = outs
-        return memo[key]
+            memo[i, j] = outs
+        return memo[i, j]
 
-    return rec(0, n)
+    rows = rec(0, n)
+    table = np.array(rows, dtype=np.int8).reshape(len(rows), n // 2, 2)
+    table.flags.writeable = False
+    return table
 
 
 def select_optimal(
@@ -443,12 +455,17 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     n = len(trans)
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
-    if n == 0:
-        return (ChordConfiguration(trans, (), base),)
-    configs = [ChordConfiguration(trans, m, base) for m in _all_matchings(n)]
-    emin = min(c.energy for c in configs)
-    tol = ENERGY_REL_TOL * max(1.0, emin)
-    best = [c for c in configs if c.energy <= emin + tol]
+    # terms as ChordConfiguration.energy takes them; fsum rounds once, in any order
+    u, lengths = trans.u, np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n, 2):
+            lengths[i, j] = chord_length(u[j] - u[i])
+    table = _all_matchings(n)
+    energies = list(map(math.fsum, lengths[table[..., 0], table[..., 1]].tolist()))
+    emin = min(energies)
+    bound = emin + ENERGY_REL_TOL * max(1.0, emin)
+    best = [ChordConfiguration(trans, table[k].tolist(), base)
+            for k, e in enumerate(energies) if e <= bound]
     best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)
 
@@ -462,7 +479,7 @@ def endpoint_ranks(*configs: ChordConfiguration) -> List[List[int]]:
     transition set is sorted already, so a merge orders them."""
     ranks = [[0] * len(cfg.transitions) for cfg in configs]
     tagged = (
-        [(t.angle.normalized(), c, k) for k, t in enumerate(cfg.transitions)]
+        [(a, c, k) for k, a in enumerate(cfg.transitions.angles)]
         for c, cfg in enumerate(configs)
     )
     r, prev = -1, None

@@ -199,7 +199,10 @@ class Angle:
         # first guess of the turns, from floats while both parts are small;
         # the loops below make it exact
         q, r = self.pi_mult, self.offset
-        qf, rf = q.numerator / q.denominator, r.numerator / r.denominator
+        try:
+            qf, rf = q.numerator / q.denominator, r.numerator / r.denominator
+        except OverflowError:  # a part past the float range
+            qf = rf = math.inf
         if abs(qf) < _PLAIN and abs(rf) < _PLAIN:
             k = math.floor((qf * math.pi + rf) / math.tau)
         else:

@@ -151,7 +151,7 @@ def _config_dict(cfg: ChordConfiguration) -> dict:
         "label_area": _fmt(cfg.label_area),
         "matching": [[int(i), int(j)] for i, j in cfg.matching],
         "base_value": cfg.base_value,
-        "transition_angles": [_fmt(t.angle.normalized().radians) for t in cfg.transitions],
+        "transition_angles": [_fmt(x) for x in cfg.transitions.u],
     }
 
 

@@ -273,6 +273,18 @@ class TestRegionSubset:
         assert not region_subset(u, w)
         assert not region_subset(w, u)
 
+    def test_ranks_reuse_the_normalized_angles(self, monkeypatch):
+        # the transition set keeps the angles it normalized, so containment
+        # normalizes nothing again
+        inner, outer = solve_binary(build_fn(2)), solve_binary(build_gn(2))
+        for cfg in (inner, outer):
+            assert cfg.transitions.angles == tuple(t.angle.normalized() for t in cfg.transitions)
+        calls = []
+        real = Angle.normalized
+        monkeypatch.setattr(Angle, "normalized", lambda a: calls.append(a) or real(a))
+        assert region_subset(inner, outer)
+        assert calls == []
+
     def test_trivial_cases(self, caps):
         u = solve_binary(caps, "minimal")
         one = solve_binary(PCB.constant(1.0))
