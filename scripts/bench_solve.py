@@ -1,5 +1,6 @@
-"""Layer benchmark of the solver: ``solve_binary`` on large inputs and the
-exhaustive ``enumerate_optimal`` at its 16-transition cap.
+"""Layer benchmark of the solver: ``solve_binary`` on large inputs, the
+exhaustive ``enumerate_optimal`` at its 16-transition cap, and the data path
+in front of them.
 
     python3 scripts/bench_solve.py [--tree LABEL=SRC ...] [--out BENCH_solve.json]
 
@@ -14,7 +15,11 @@ are ``gn(8)`` (510 transitions), ``gn(9)`` (1022) and seeded subsets of the
 pi/4096 lattice with 200, 1000 and 2000 transitions (``latticeM``).  The
 ``enumerate_optimal`` instances ``enumMqQ`` take M transitions of the pi/Q
 lattice: all 16 points of pi/8, where energies tie, and a seeded subset of
-pi/2048.  The call is chosen by the instance name.
+pi/2048.  Two instances time the data path: ``load200`` reads the JSON of
+the 200-transition lattice with ``from_json_dict`` and builds its
+transitions with ``transitions_of``, and ``oracle16q8`` runs
+``enumerate_optimal`` and both ``solve_binary`` modes on one data object of
+the 16 points of pi/8.  The call is chosen by the instance name.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the solve time and of the peak RSS, the raw runs, the
@@ -27,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -35,7 +41,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048")
+INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
+             "load200", "oracle16q8")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10
@@ -51,10 +58,8 @@ def build(name: str):
 
     if name.startswith("gn"):
         return build_gn(int(name[2:]))
-    if name.startswith("enum"):
-        m, q = map(int, name[len("enum"):].split("q"))
-    else:
-        m, q = int(name[len("lattice"):]), LATTICE_Q
+    m, q = re.fullmatch(r"[a-z]+(\d+)(?:q(\d+))?", name).groups()
+    m, q = int(m), int(q or LATTICE_Q)
     rng = random.Random(LATTICE_SEED + m)
     ks = sorted(rng.sample(range(2 * q), m))
     return PiecewiseConstantBoundary(
@@ -63,22 +68,34 @@ def build(name: str):
 
 
 def child(name: str) -> None:
-    """Build ``name``, solve or enumerate it once, print the time and
-    memory as JSON (for an enumeration, the first optimum's energy)."""
-    from lglab.chord_solver import enumerate_optimal, solve_binary
+    """Build ``name``, run its call once, print the time and memory as JSON
+    with a check value: the energy of the solution or of the first optimum,
+    and for a load the ``fsum`` of the transition radians."""
+    import math
+
+    from lglab.boundary_data import PiecewiseConstantBoundary
+    from lglab.chord_solver import enumerate_optimal, solve_binary, transitions_of
 
     data = build(name)
+    load = name.startswith("load")
+    doc = json.loads(json.dumps(data.to_json_dict())) if load else None
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t = time.perf_counter()
-    cfg = enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
+    if load:
+        trans = transitions_of(PiecewiseConstantBoundary.from_json_dict(doc))[0]
+    elif name.startswith("oracle"):
+        cfg = enumerate_optimal(data)[0]
+        solve_binary(data, "minimal"), solve_binary(data, "maximal")
+    else:
+        cfg = enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
     solve_s = time.perf_counter() - t
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({
         "solve_s": solve_s,
         "peak_rss_mb": peak / 1024.0,
         "solve_rss_mb": (peak - before) / 1024.0,
-        "transitions": len(cfg.transitions),
-        "energy": cfg.energy.hex(),
+        "transitions": len(trans if load else cfg.transitions),
+        "energy": (math.fsum(trans.u) if load else cfg.energy).hex(),
     }))
 
 
@@ -146,7 +163,7 @@ def main(argv=None) -> int:
                       f"{res['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
 
     report = {
-        "benchmark": "solve_binary (minimal mode) or enumerate_optimal, one call per fresh process",
+        "benchmark": "solve_binary (minimal mode), enumerate_optimal or a data path, one call per fresh process",
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),

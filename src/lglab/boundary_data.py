@@ -22,6 +22,7 @@ from .circle_geometry import (
     DomainError,
     ccw_measure,
     index_of_angle,
+    strictly_increasing,
 )
 
 TAU = math.tau
@@ -36,32 +37,38 @@ class PiecewiseConstantBoundary:
     zero-length arcs are rejected, adjacent arcs with equal values merge.
     """
 
-    __slots__ = ("breakpoints", "values", "_rad", "_knots", "_prefix", "_segvals")
+    __slots__ = ("breakpoints", "values", "_rad", "_transitions", "_knots", "_prefix", "_segvals")
 
     def __init__(self, breakpoints: Sequence[Angle], values: Sequence[float]):
         bps = [b.normalized() for b in breakpoints]
         vals = [float(v) for v in values]
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("boundary values must be finite")
+        rad = [b.radians for b in bps]
         if len(bps) == 0:
             if len(vals) != 1:
                 raise DomainError("constant data needs exactly one value")
         elif len(bps) != len(vals):
             raise DomainError("need one value per breakpoint")
         else:
-            order = sorted(range(len(bps)), key=bps.__getitem__)
-            bps = [bps[i] for i in order]
-            vals = [vals[i] for i in order]
-            if any(a == b for a, b in zip(bps, bps[1:])):
-                raise DomainError("duplicate breakpoints")
+            # the float order is the exact one when every neighbour pair is
+            # proven strictly increasing; otherwise sort exactly
+            order = sorted(range(len(bps)), key=rad.__getitem__)
+            if not strictly_increasing([bps[i] for i in order], [rad[i] for i in order]):
+                order = sorted(range(len(bps)), key=bps.__getitem__)
+                if any(bps[i] == bps[j] for i, j in zip(order, order[1:])):
+                    raise DomainError("duplicate breakpoints")
             # merge adjacent equal values (cyclically): a breakpoint between
             # equal values goes, and dropping one leaves the others' test as is
-            keep = [i for i in range(len(bps)) if vals[i] != vals[i - 1]]
-            bps = [bps[i] for i in keep]
-            vals = [vals[i] for i in keep] if keep else vals[:1]
+            keep = [i for i in range(len(order)) if vals[order[i]] != vals[order[i - 1]]]
+            order = [order[i] for i in keep]
+            vals = [vals[i] for i in order] if keep else vals[:1]
+            bps = [bps[i] for i in order]
+            rad = [rad[i] for i in order]
         self.breakpoints: Tuple[Angle, ...] = tuple(bps)
         self.values: Tuple[float, ...] = tuple(vals)
-        self._rad: Optional[np.ndarray] = None
+        self._rad = np.array(rad, dtype=float)
+        self._transitions = None
         self._knots = None
         self._prefix = None
         self._segvals = None
@@ -126,9 +133,6 @@ class PiecewiseConstantBoundary:
     def scaled(self, s: float) -> "PiecewiseConstantBoundary":
         return PiecewiseConstantBoundary(self.breakpoints, [s * v for v in self.values])
 
-    def shifted(self, c: float) -> "PiecewiseConstantBoundary":
-        return PiecewiseConstantBoundary(self.breakpoints, [v + c for v in self.values])
-
     # -- evaluation -----------------------------------------------------
     def value_at(self, angle: Union[Angle, float]) -> float:
         if self.is_constant:
@@ -137,17 +141,12 @@ class PiecewiseConstantBoundary:
             return self.values[index_of_angle(self.breakpoints, angle.normalized())]
         return float(self.value_at_many(np.array([angle]))[0])
 
-    def _rad_array(self) -> np.ndarray:
-        if self._rad is None:
-            self._rad = np.array([b.radians for b in self.breakpoints])
-        return self._rad
-
     def value_at_many(self, theta: np.ndarray) -> np.ndarray:
         th = np.asarray(theta, dtype=float) % TAU
         vals = np.asarray(self.values)
         if self.is_constant:
             return np.full(th.shape, vals[0])
-        idx = np.searchsorted(self._rad_array(), th, side="right") - 1
+        idx = np.searchsorted(self._rad, th, side="right") - 1
         return vals[idx]  # idx == -1 wraps to the last arc
 
     def __call__(self, theta):
@@ -162,26 +161,13 @@ class PiecewiseConstantBoundary:
         )
 
     # -- integrals --------------------------------------------------------
-    def arc_measures(self) -> np.ndarray:
-        """Float measure of each arc, aligned with ``values``."""
-        if self.is_constant:
-            return np.array([TAU])
-        r = self._rad_array()
-        return np.diff(np.append(r, r[0] + TAU))
-
-    def integral(self) -> float:
-        return float(np.dot(self.arc_measures(), np.asarray(self.values)))
-
-    def abs_integral(self) -> float:
-        return float(np.dot(self.arc_measures(), np.abs(self.values)))
-
     def _cumulative_tables(self):
         if self._knots is None:
             if self.is_constant:
                 knots = np.array([0.0, TAU])
                 segvals = np.array([self.values[0]])
             else:
-                r = self._rad_array()
+                r = self._rad
                 knots = np.concatenate(([0.0], r, [TAU]))
                 segvals = np.concatenate(([self.values[-1]], self.values))
             widths = np.diff(knots)
@@ -260,7 +246,12 @@ class PiecewiseConstantBoundary:
             floats = [float(v) for v in vals]
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"malformed boundary data: {exc}") from None
-        return cls(angles, floats)
+        data = cls(angles, floats)
+        try:  # normalizing can leave a part too long to write back as a string
+            data.to_json_dict()
+        except ValueError as exc:
+            raise DomainError(f"breakpoint cannot be written back: {exc}") from None
+        return data
 
 
 class EvaluableBoundary:
@@ -321,10 +312,6 @@ class CantorStage:
     def kept_arc_measure(self) -> Fraction:
         """Exact radian measure of each kept arc (all are equal)."""
         return kept_arc_measure(self.n, self.removal)
-
-    @property
-    def kept_total(self) -> Fraction:
-        return self.kept_arc_measure * 2**self.n
 
 
 def cantor_stage(n: int, removal: Union[int, Fraction] = Fraction(1, 4)) -> CantorStage:
@@ -493,17 +480,6 @@ class DiscreteConvolution(EvaluableBoundary):
         psi, idx = self._hat_weights(theta)
         s = psi.sum(axis=-1)
         return (psi * self.averages[idx]).sum(axis=-1) / s
-
-    def partition_sum(self, theta: np.ndarray) -> np.ndarray:
-        """Sum of the normalized partition of unity (identically 1)."""
-        psi, _ = self._hat_weights(theta)
-        s = psi.sum(axis=-1)
-        return (psi / s[..., None]).sum(axis=-1)
-
-    def abs_integral(self, grid: int = 200_001) -> float:
-        th = np.linspace(0.0, TAU, grid)
-        vals = np.abs(self._evaluate(th))
-        return float(np.trapezoid(vals, th))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .circle_geometry import (
     Cell,
     ChordEdge,
     DomainError,
-    _PLAIN,
     chord_length,
+    strictly_increasing,
 )
 
 MAX_TRANSITIONS = 2000
@@ -51,29 +51,14 @@ class TransitionSet(tuple):
     across angle 0 (``base``), the normalized ``angles`` and their float
     radians ``u`` (read only).  The only place that checks order,
     alternation and base consistency; configurations built on one set share
-    it unchecked.
-
-    Order is read off ``u`` where safe: with eps = 2**-53, ``u[i]`` rounds
-    q*p + r for the angle v = q*pi + r, and for |q| < 2**53 the rational p
-    has 0 < pi - p < 1e-75, so |u[i] - v| <= e_i = eps*|u[i]| + 1e-75*|q| +
-    2**-1075.  The computed tol_i = 2eps*|u[i]| + 1e-74*|q| + 2**-1070
-    exceeds 1.9*e_i, and g = fl(u[i+1] - u[i]) is within eps*|g| of the
-    exact difference, so g > fl(tol_i + tol_{i+1}) proves v_i < v_{i+1}.
-    A larger |q| is read as infinite, and the other neighbours are compared
-    exactly.
+    it unchecked.  Order is checked by ``strictly_increasing``.
     """
 
     def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
         self = super().__new__(cls, transitions)
         angles = tuple(t.angle.normalized() for t in self)
-        u = np.array([a.radians for a in angles], dtype=float)
-        q = np.array([
-            abs(n) / d if abs(n) < _PLAIN * d else math.inf
-            for n, d in ((a.pi_mult.numerator, a.pi_mult.denominator) for a in angles)
-        ])
-        tol = 2.0**-52 * np.abs(u) + 1e-74 * q + 2.0**-1070
-        unsure = np.flatnonzero(np.diff(u) <= tol[:-1] + tol[1:])
-        if not all(angles[i] < angles[i + 1] for i in unsure):
+        u = [a.radians for a in angles]
+        if not strictly_increasing(angles, u):
             raise DomainError("transitions must be strictly increasing in [0, 2*pi)")
         # cyclic alternation, which also rules out an odd count
         if any(a.rising == b.rising for a, b in zip(self, self[1:] + self[:1])):
@@ -83,6 +68,7 @@ class TransitionSet(tuple):
         # the wrap arc holds value 1 exactly when the last transition is rising
         if self and base != int(self[-1].rising):
             raise DomainError("base value inconsistent with transition types")
+        u = np.array(u, dtype=float)
         u.flags.writeable = False
         object.__setattr__(self, "base", int(base))
         object.__setattr__(self, "angles", angles)
@@ -97,13 +83,14 @@ class TransitionSet(tuple):
 
 def transitions_of(data) -> Tuple[TransitionSet, int]:
     """The validated transition set (ccw order) and the value held across
-    angle 0."""
+    angle 0, built once per data object and kept on it."""
     if not data.is_binary:
         raise DomainError("solver needs binary data with values in {0, 1}")
-    # constant data has no breakpoints and one value, so no transitions
-    rising = [Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)]
-    trans = TransitionSet(rising, int(data.values[-1]))
-    return trans, trans.base
+    if data._transitions is None:
+        # constant data has no breakpoints and one value, so no transitions
+        rising = [Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)]
+        data._transitions = TransitionSet(rising, int(data.values[-1]))
+    return data._transitions, data._transitions.base
 
 
 def _validate_matching(n: int, matching: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

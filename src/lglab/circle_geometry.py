@@ -66,14 +66,16 @@ def _pi_for(m: Fraction) -> Fraction:
     """A rational below pi by less than 1e-40 / |m|, for multiplying by
     numbers of size up to |m|: PI_LO when |m| < _PLAIN, else the lower end of
     ``_pi_enclosure`` with the digits doubled from 150 until 10**(digits - 40)
-    exceeds |m|.  Compared in integers, which costs far less than Fraction
-    arithmetic on the common path."""
+    exceeds |m|, past PI_MAX_DIGITS a DomainError.  Compared in integers,
+    which costs far less than Fraction arithmetic on the common path."""
     n, d = abs(m.numerator), m.denominator
     if n < _PLAIN * d:
         return PI_LO
     digits = 150
     while n >= 10 ** (digits - 40) * d:
         digits *= 2
+        if digits > PI_MAX_DIGITS:
+            raise DomainError(f"a number this large needs more than {PI_MAX_DIGITS} digits of pi")
     return _pi_enclosure(digits)[0]
 
 
@@ -126,6 +128,9 @@ class Angle:
 
     pi_mult: Fraction
     offset: Fraction = Fraction(0)
+    # computed once, then kept beside the fields (not fields themselves)
+    _radians = None
+    _normal = None
 
     def __post_init__(self) -> None:
         if type(self.pi_mult) is not Fraction:
@@ -147,9 +152,14 @@ class Angle:
     # -- numeric views ------------------------------------------------
     @property
     def radians(self) -> float:
-        # Single correctly rounded conversion through a rational near pi.
-        x = self.pi_mult * _pi_for(self.pi_mult) + self.offset
-        return x.numerator / x.denominator
+        # pi_mult*p + offset for p near pi, by one correctly rounded int/int division
+        x = self._radians
+        if x is None:
+            q, r, p = self.pi_mult, self.offset, _pi_for(self.pi_mult)
+            den = q.denominator * p.denominator
+            x = (q.numerator * p.numerator * r.denominator + r.numerator * den) / (den * r.denominator)
+            object.__setattr__(self, "_radians", x)
+        return x
 
     def __float__(self) -> float:
         return self.radians
@@ -195,7 +205,11 @@ class Angle:
         return _sign(self.pi_mult - other.pi_mult, self.offset - other.offset) >= 0
 
     def normalized(self) -> "Angle":
-        """The equivalent angle in [0, 2*pi)."""
+        """The equivalent angle in [0, 2*pi), computed once and kept, as False
+        when it is the angle itself: a normalized angle has no self-reference."""
+        cand = self._normal
+        if cand is not None:
+            return cand or self
         # first guess of the turns, from floats while both parts are small;
         # the loops below make it exact
         q, r = self.pi_mult, self.offset
@@ -204,15 +218,25 @@ class Angle:
         except OverflowError:  # a part past the float range
             qf = rf = math.inf
         if abs(qf) < _PLAIN and abs(rf) < _PLAIN:
-            k = math.floor((qf * math.pi + rf) / math.tau)
+            p = qf * math.pi
+            x, b = p + rf, 2.0**-50 * (abs(p) + abs(rf)) + 2.0**-1069
+            # |x - pi_mult*pi - offset| < b as in _sign, and 6.28 < 2*pi
+            if b < x and x + b < 6.28:
+                object.__setattr__(self, "_normal", False)
+                return self
+            k = math.floor(x / math.tau)
         else:
-            pi = _pi_for(max(abs(q), abs(r)))
-            k = math.floor((q * pi + r) / (2 * pi))
+            # the whole turns in q*pi come off exactly: only r needs pi's digits
+            pi = _pi_for(r)
+            k = q // 2 + math.floor((q % 2 * pi + r) / (2 * pi))
         cand = self if k == 0 else Angle(q - 2 * k, r)
         while cand.sign() < 0:
             cand = Angle(cand.pi_mult + 2, cand.offset)
         while _sign(cand.pi_mult - 2, cand.offset) >= 0:
             cand = Angle(cand.pi_mult - 2, cand.offset)
+        if cand is not self:
+            object.__setattr__(cand, "_normal", False)
+        object.__setattr__(self, "_normal", cand is not self and cand)
         return cand
 
     def __repr__(self) -> str:
@@ -220,6 +244,27 @@ class Angle:
 
 
 TWO_PI = Angle(2, 0)
+# CPython sizes each new angle's attribute storage by the names angles have
+# used so far: keeping both conversions here leaves room for them in every
+# later angle, which then needs no dict of its own
+TWO_PI.normalized().radians
+
+
+def strictly_increasing(angles: Sequence[Angle], u: Sequence[float]) -> bool:
+    """Whether ``angles`` increase strictly, given ``u[i] == angles[i].radians``.
+
+    Order is read off ``u`` where safe: with eps = 2**-53, ``u[i]`` rounds
+    q*p + r for the angle v = q*pi + r, and for |q| < 2**53 the rational p
+    has 0 < pi - p < 1e-75, so |u[i] - v| <= e_i = eps*|u[i]| + 1e-75*|q| +
+    2**-1075.  The computed tol_i = 2eps*|u[i]| + 1e-74*|q| + 2**-1070
+    exceeds 1.9*e_i, and g = fl(u[i+1] - u[i]) is within eps*|g| of the
+    exact difference, so g > fl(tol_i + tol_{i+1}) proves v_i < v_{i+1}.
+    A larger |q| is read as infinite, and the other neighbours are compared
+    exactly.
+    """
+    tol = [2.0**-52 * abs(x) + 1e-74 * (abs(n) / d if abs(n) < _PLAIN * d else math.inf) + 2.0**-1070
+           for x, n, d in ((x, a.pi_mult.numerator, a.pi_mult.denominator) for x, a in zip(u, angles))]
+    return all(u[i + 1] - u[i] > tol[i] + tol[i + 1] or angles[i] < angles[i + 1] for i in range(len(u) - 1))
 
 
 def ccw_measure(a: Angle, b: Angle) -> Angle:
@@ -251,12 +296,6 @@ class Arc:
 
     def midpoint(self) -> Angle:
         return (self.start + self.measure * Fraction(1, 2)).normalized()
-
-    def contains(self, angle: Angle) -> bool:
-        if self.start == self.end:
-            return False
-        pos = ccw_measure(self.start, angle)
-        return (pos - self.measure).sign() < 0
 
 
 # ---------------------------------------------------------------------------

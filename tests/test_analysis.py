@@ -31,6 +31,7 @@ from lglab.analysis import (
     u_energy,
     v_energy,
 )
+from helpers import shifted
 
 PCB = PiecewiseConstantBoundary
 
@@ -242,7 +243,7 @@ class TestMonotonePipeline:
 
     def test_requires_binary(self):
         with pytest.raises(DomainError):
-            monotone_pipeline(PCB.constant(0.5).shifted(0.1), 2)
+            monotone_pipeline(shifted(PCB.constant(0.5), 0.1), 2)
 
     def test_eps_validation(self, caps):
         with pytest.raises(DomainError):

@@ -9,6 +9,8 @@ import contextlib
 import io
 import json
 import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,11 @@ HUGE_PI_MULT = {"breakpoints": [["1e400", "0"], ["1", "0"]], "values": [1, 0]}
 HUGE_OFFSET = {"breakpoints": [["0", "1e400"], ["1", "0"]], "values": [1, 0]}
 # an offset past what PI_MAX_DIGITS digits of pi can reduce mod 2*pi
 TOO_HUGE_OFFSET = {"breakpoints": [["0", "1e5000"], ["1", "0"]], "values": [1, 0]}
+# a whole number of turns that needs no digits of pi at all
+HUGE_TURNS = {"breakpoints": [["1e20000", "0"], ["1/3", "0"]], "values": [1, 0]}
+# an offset whose normalized multiplier of pi has about 4500 digits, past
+# Python's limit on writing an integer as a string
+UNWRITABLE_OFFSET = {"breakpoints": [["0", "1e4500"], ["1", "0"]], "values": [1, 0]}
 
 
 def run(argv):
@@ -59,6 +66,18 @@ class TestHugeBreakpoints:
         with pytest.raises(DomainError):
             PiecewiseConstantBoundary.from_json_dict(TOO_HUGE_OFFSET)
 
+    def test_huge_whole_turns_need_no_digits_of_pi(self):
+        t = time.perf_counter()
+        data = PiecewiseConstantBoundary.from_json_dict(HUGE_TURNS)
+        cfg = solve_binary(data)
+        assert time.perf_counter() - t < 0.1
+        assert data.breakpoints == (Angle(0), Angle(Fraction(1, 3)))
+        assert cfg.matching == ((0, 1),)
+
+    def test_unwritable_offset_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="written back"):
+            PiecewiseConstantBoundary.from_json_dict(UNWRITABLE_OFFSET)
+
     @pytest.mark.parametrize(
         "blob, angles",
         [
@@ -79,6 +98,18 @@ class TestHugeBreakpoints:
         p = tmp_path / "too_huge.json"
         p.write_text(json.dumps(TOO_HUGE_OFFSET))
         code, out, err = run(["solve", str(p)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("blob", [UNWRITABLE_OFFSET, {
+        "breakpoints": [["0", "1e20000"], ["1", "0"]], "values": [1, 0]}])
+    def test_cli_structured_error_at_once(self, tmp_path, blob):
+        p = tmp_path / "unusable.json"
+        p.write_text(json.dumps(blob))
+        t = time.perf_counter()
+        code, out, err = run(["solve", str(p)])
+        assert time.perf_counter() - t < 1.0
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
@@ -144,3 +175,22 @@ def test_fuzz_json_gives_data_or_domain_error(doc):
             call()
         except DomainError:
             pass
+
+
+_huge = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(4200, 4700))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_documents(), st.builds(
+    lambda p, r, first: {"breakpoints": [[p, r], ["1", "0"]], "values": [first, 1 - first]},
+    st.one_of(_plain, _huge), st.one_of(_plain, _huge), st.integers(0, 1))))
+@example(UNWRITABLE_OFFSET)
+@example(HUGE_TURNS)
+def test_json_round_trip(doc):
+    """Whatever loads dumps, and reloading the dump gives equal data."""
+    try:
+        data = PiecewiseConstantBoundary.from_json_dict(doc)
+    except DomainError:
+        return
+    dumped = json.loads(json.dumps(data.to_json_dict()))
+    assert PiecewiseConstantBoundary.from_json_dict(dumped) == data

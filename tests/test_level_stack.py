@@ -23,6 +23,7 @@ from lglab.level_stack import (
     l1_distance,
     solve_general,
 )
+from helpers import shifted
 
 PCB = PiecewiseConstantBoundary
 E_F1 = 0.7456131870490795
@@ -138,7 +139,7 @@ class TestSolveGeneral:
 
     def test_affine_invariance_of_structure(self, caps):
         # scaling and shifting the values must not change the chords
-        data = caps.scaled(3.0).shifted(-1.0)
+        data = shifted(caps.scaled(3.0), -1.0)
         stack = solve_general(data)
         assert stack.n_slices == 1
         assert stack.slices[0].config.matching == solve_binary(caps).matching
