@@ -330,9 +330,6 @@ class ArcEdge:
     start: Angle
     end: Angle
 
-    def endpoints(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-        return (self.start.point(), self.end.point())
-
 
 @dataclass(frozen=True)
 class ChordEdge:
@@ -340,9 +337,6 @@ class ChordEdge:
 
     start: Angle
     end: Angle
-
-    def endpoints(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-        return (self.start.point(), self.end.point())
 
 
 Edge = Union[ArcEdge, ChordEdge]
@@ -364,66 +358,6 @@ class Cell:
         for e, nxt in zip(self.edges, self.edges[1:] + self.edges[:1]):
             if e.end.normalized() != nxt.start.normalized():
                 raise DomainError("cell edge cycle is not closed")
-
-    def arc_edges(self) -> Tuple[ArcEdge, ...]:
-        return tuple(e for e in self.edges if isinstance(e, ArcEdge))
-
-
-def _seg_intersect_proper(p1, p2, q1, q2) -> bool:
-    """Do open segments (p1,p2) and (q1,q2) cross properly?"""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4
-
-
-def _check_simple(cell: Cell) -> None:
-    chords = [e for e in cell.edges if isinstance(e, ChordEdge)]
-    for i in range(len(chords)):
-        a = chords[i]
-        pa = a.endpoints()
-        for b in chords[i + 1:]:
-            pb = b.endpoints()
-            if _seg_intersect_proper(pa[0], pa[1], pb[0], pb[1]):
-                raise DomainError("self-intersecting cell: crossing chords")
-    arcs = cell.arc_edges()
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            a, b = arcs[i], arcs[j]
-            ma, mb = ccw_measure(a.start, a.end), ccw_measure(b.start, b.end)
-            # open angular intervals must not overlap
-            for probe_base, probe_m, other_start, other_m in (
-                (a.start, ma, b.start, mb),
-                (b.start, mb, a.start, ma),
-            ):
-                pos = ccw_measure(other_start, probe_base)
-                mid = (probe_base + probe_m * Fraction(1, 2)).normalized()
-                posm = ccw_measure(other_start, mid)
-                if (pos - other_m).sign() < 0 and pos.sign() > 0:
-                    raise DomainError("self-intersecting cell: overlapping arcs")
-                if (posm - other_m).sign() < 0 and posm.sign() > 0:
-                    raise DomainError("self-intersecting cell: overlapping arcs")
-
-
-def cell_area(cell: Cell) -> float:
-    """Area enclosed by the cell: vertex shoelace plus a circular segment
-    correction for every arc edge.  Raises DomainError for self-intersecting
-    edge cycles."""
-    _check_simple(cell)
-    verts = [e.endpoints()[0] for e in cell.edges]
-    shoelace = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
-        shoelace += x0 * y1 - y0 * x1
-    area = 0.5 * shoelace
-    for e in cell.edges:
-        if isinstance(e, ArcEdge):
-            area += segment_area(ccw_measure(e.start, e.end))
-    return area
 
 
 def index_of_angle(sorted_angles: Sequence[Angle], x: Angle) -> int:

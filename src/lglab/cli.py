@@ -127,7 +127,7 @@ def cmd_generate(args) -> int:
             else:
                 arcs = [Arc(Angle.of_radians(float(s)), Angle.of_radians(float(e))) for s, e in raw]
                 data = PiecewiseConstantBoundary.from_arcs(arcs, 1.0, 0.0)
-        except (ValueError, TypeError, DomainError) as exc:
+        except (ValueError, TypeError, OverflowError, DomainError) as exc:
             print(f"error: malformed arcs spec: {exc}", file=sys.stderr)
             return 2
     else:
@@ -296,10 +296,9 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
     caps = PiecewiseConstantBoundary(
         [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)], [1.0, 0.0, 1.0, 0.0]
     )
-    samples = 50000 if args.samples is None else args.samples
-    rep_a = analysis.monotone_pipeline(fixed, 5, samples=samples, seed=args.seed)
+    rep_a = analysis.monotone_pipeline(fixed, 5)
     rep_a.scenario = "fixed-arcs"
-    rep_b = analysis.monotone_pipeline(caps, 5, samples=samples, seed=args.seed)
+    rep_b = analysis.monotone_pipeline(caps, 5)
     rep_b.scenario = "opposite-caps"
     return _merge_reports("monotone", [rep_a, rep_b], args.seed)
 
@@ -319,8 +318,6 @@ def cmd_verify(args) -> int:
         "inequalities": lambda: _suite_inequalities(args),
         "oracle": lambda: analysis.oracle_check(200, seed=args.seed),
     }
-    if args.samples is not None and args.suite != "monotone":
-        return _error(DomainError(f"verify {args.suite} takes no --samples (only monotone does)"))
     try:
         rep = suites[args.suite]()
     except (DomainError, NestednessError) as exc:
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["nonexistence", "nonlinearity", "nonlocality", "monotone", "inequalities", "oracle"],
     )
     v.add_argument("--out", default=None)
-    v.add_argument("--samples", type=int, default=None, help="monotone only (default 50000)")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.set_defaults(fn=cmd_verify)
 

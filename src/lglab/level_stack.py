@@ -99,14 +99,6 @@ class LevelSetStack:
         self.values = values
         self.slices = tuple(slices)
 
-    @property
-    def base_value(self) -> float:
-        return self.values[0]
-
-    @property
-    def n_slices(self) -> int:
-        return len(self.slices)
-
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         """Solution values at interior points; every result is a data value."""
         pts = np.asarray(pts, dtype=float)

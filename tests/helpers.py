@@ -1,11 +1,23 @@
 """Operations that only the tests use, kept out of the ``lglab`` package."""
 
 import math
+import random
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from lglab.boundary_data import CantorStage, DiscreteConvolution, PiecewiseConstantBoundary
-from lglab.circle_geometry import Angle, Arc, ccw_measure
+from lglab.circle_geometry import (
+    Angle,
+    Arc,
+    ArcEdge,
+    Cell,
+    ChordEdge,
+    DomainError,
+    ccw_measure,
+    segment_area,
+)
 
 
 def arc_contains(arc: Arc, angle: Angle) -> bool:
@@ -51,3 +63,86 @@ def convolution_abs_integral(conv: DiscreteConvolution, grid: int = 200_001) -> 
     th = np.linspace(0.0, math.tau, grid)
     vals = np.abs(conv(th))
     return float(np.trapezoid(vals, th))
+
+
+def random_arc_union(
+    rng: random.Random,
+    n_arcs: Optional[int] = None,
+    min_len: float = 0.15,
+    min_gap: float = 0.12,
+    max_tries: int = 1000,
+) -> PiecewiseConstantBoundary:
+    """Random union-of-arcs indicator with separated, non-degenerate arcs."""
+    for _ in range(max_tries):
+        n = n_arcs if n_arcs is not None else rng.randint(2, 4)
+        ks = sorted(rng.sample(range(4096), 2 * n))
+        angles = [Angle(Fraction(k, 2048), 0) for k in ks]
+        arcs = [Arc(angles[2 * i], angles[2 * i + 1]) for i in range(n)]
+        lens = [a.measure_radians for a in arcs]
+        gaps = [
+            (b.start.normalized() - a.end.normalized()).normalized().radians
+            for a, b in zip(arcs, arcs[1:] + [arcs[0]])
+        ]
+        if min(lens) >= min_len and min(gaps) >= min_gap:
+            return PiecewiseConstantBoundary.from_arcs(arcs, 1.0, 0.0)
+    raise RuntimeError("could not draw a well-separated arc union")
+
+
+# ---------------------------------------------------------------------------
+# cell areas: an independent oracle for ``ChordConfiguration.label_area``
+
+def _seg_intersect_proper(p1, p2, q1, q2) -> bool:
+    """Do open segments (p1,p2) and (q1,q2) cross properly?"""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4
+
+
+def _check_simple(cell: Cell) -> None:
+    chords = [e for e in cell.edges if isinstance(e, ChordEdge)]
+    for i in range(len(chords)):
+        a = chords[i]
+        pa = (a.start.point(), a.end.point())
+        for b in chords[i + 1:]:
+            pb = (b.start.point(), b.end.point())
+            if _seg_intersect_proper(pa[0], pa[1], pb[0], pb[1]):
+                raise DomainError("self-intersecting cell: crossing chords")
+    arcs = [e for e in cell.edges if isinstance(e, ArcEdge)]
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            a, b = arcs[i], arcs[j]
+            ma, mb = ccw_measure(a.start, a.end), ccw_measure(b.start, b.end)
+            # open angular intervals must not overlap
+            for probe_base, probe_m, other_start, other_m in (
+                (a.start, ma, b.start, mb),
+                (b.start, mb, a.start, ma),
+            ):
+                pos = ccw_measure(other_start, probe_base)
+                mid = (probe_base + probe_m * Fraction(1, 2)).normalized()
+                posm = ccw_measure(other_start, mid)
+                if (pos - other_m).sign() < 0 and pos.sign() > 0:
+                    raise DomainError("self-intersecting cell: overlapping arcs")
+                if (posm - other_m).sign() < 0 and posm.sign() > 0:
+                    raise DomainError("self-intersecting cell: overlapping arcs")
+
+
+def cell_area(cell: Cell) -> float:
+    """Area enclosed by the cell: vertex shoelace plus a circular segment
+    correction for every arc edge.  Raises DomainError for self-intersecting
+    edge cycles."""
+    _check_simple(cell)
+    verts = [e.start.point() for e in cell.edges]
+    shoelace = 0.0
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        shoelace += x0 * y1 - y0 * x1
+    area = 0.5 * shoelace
+    for e in cell.edges:
+        if isinstance(e, ArcEdge):
+            area += segment_area(ccw_measure(e.start, e.end))
+    return area

@@ -35,7 +35,6 @@ from lglab.analysis import (
     kept_arc_measure,
     monotone_pipeline,
     nonlin_demo,
-    random_arc_union,
     random_binary_data,
     sin_meanval_check,
     trace,
@@ -43,7 +42,13 @@ from lglab.analysis import (
     u_energy,
     v_energy,
 )
-from helpers import abs_integral, convolution_abs_integral, kept_total, partition_sum
+from helpers import (
+    abs_integral,
+    convolution_abs_integral,
+    kept_total,
+    partition_sum,
+    random_arc_union,
+)
 
 PCB = PiecewiseConstantBoundary
 
@@ -194,7 +199,7 @@ def test_criterion_09_monotone_pipeline():
     for _ in range(20):
         F = random_arc_union(rng)
         gaps = [a.measure_radians for a in F.support_arcs(0.0)]
-        rep = monotone_pipeline(F, 3, samples=50_000)
+        rep = monotone_pipeline(F, 3)
         chain = next(v for v in rep.verdicts if "chain" in v.name)
         assert chain.passed
         assert rep.details["eps0"] < min(gaps) / 2.0

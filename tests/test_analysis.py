@@ -5,9 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lglab.circle_geometry import DomainError
-from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
+from lglab.circle_geometry import Angle, DomainError
+from lglab.boundary_data import (
+    PiecewiseConstantBoundary,
+    build_fn,
+    build_gn,
+    eta_minus,
+    quantize,
+)
 from lglab.chord_solver import BinaryDiskFunction, solve_binary
+from lglab.level_stack import l1_distance
 from lglab import analysis
 from lglab.analysis import (
     ENERGY_THRESHOLD,
@@ -23,7 +30,6 @@ from lglab.analysis import (
     nonlin_demo,
     nonlocality_demo,
     oracle_check,
-    random_arc_union,
     random_binary_data,
     sin_meanval_check,
     trace,
@@ -31,7 +37,7 @@ from lglab.analysis import (
     u_energy,
     v_energy,
 )
-from helpers import shifted
+from helpers import random_arc_union, shifted
 
 PCB = PiecewiseConstantBoundary
 
@@ -150,6 +156,21 @@ class TestCollectTracePoints:
         with pytest.raises(DomainError):
             collect_trace_points(skinny, count=5, min_measure=7.0)
 
+    def test_sub_ulp_arc_is_not_a_full_turn(self):
+        # the 1-arc is narrower than one ulp of its float endpoints
+        data = PCB([Angle.of_pi(Fraction(1, 2)), Angle(Fraction(1, 2), Fraction(1, 10**20))], [1.0, 0.0])
+        pts = collect_trace_points(data, count=10)
+        assert len(pts) == 10
+        for ang, v in pts:
+            assert data.value_at(ang) == v
+
+    def test_constant_data_is_one_full_arc(self):
+        data = PCB.constant(1.0)
+        pts = collect_trace_points(data, count=5)
+        assert len(pts) == 5
+        for ang, v in pts:
+            assert data.value_at(ang) == v == 1.0
+
 
 class TestVLimit:
     def test_center_and_cap_values(self):
@@ -226,7 +247,7 @@ class TestScenarios:
 
 class TestMonotonePipeline:
     def test_fixed_instance(self, caps):
-        rep = monotone_pipeline(caps, 3, samples=20_000)
+        rep = monotone_pipeline(caps, 3)
         assert rep.passed
         kind = next(v for v in rep.verdicts if "classified" in v.name)
         assert kind.value == "maximal"
@@ -234,12 +255,28 @@ class TestMonotonePipeline:
     def test_generic_instance(self):
         rng = random.Random(2)
         F = random_arc_union(rng, n_arcs=3)
-        rep = monotone_pipeline(F, 3, samples=20_000)
+        rep = monotone_pipeline(F, 3)
         assert rep.passed
         kind = next(v for v in rep.verdicts if "classified" in v.name)
         assert kind.value == "minimal"
         dists = rep.details["l1_to_minimal"]
         assert dists[-1] < 1e-2
+
+    @pytest.mark.parametrize("name", ["fixed-arcs", "opposite-caps"])
+    def test_exact_distances_match_monte_carlo(self, name):
+        # the two inputs of ``lglab verify monotone``
+        if name == "fixed-arcs":
+            bps = [Angle(Fraction(x), 0) for x in ("1/4", "3/4", "9/8", "7/4")]
+        else:
+            bps = [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)]
+        data = PCB(bps, [1.0, 0.0, 1.0, 0.0])
+        rep = monotone_pipeline(data, 5)
+        u_min = BinaryDiskFunction(solve_binary(data, "minimal"))
+        for k, exact in enumerate(rep.details["l1_to_minimal"]):
+            eps = rep.details["eps0"] * 2.0 ** (-k)
+            u_k = BinaryDiskFunction(solve_binary(quantize(eta_minus(data, eps), (0.0, 1.0))))
+            est = l1_distance(u_k, u_min, samples=200_000)
+            assert abs(est.value - exact) <= 4.0 * est.stderr
 
     def test_requires_binary(self):
         with pytest.raises(DomainError):

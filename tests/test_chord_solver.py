@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lglab.circle_geometry import Angle, Arc, DomainError, cell_area
+from lglab.circle_geometry import Angle, Arc, DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import (
     BinaryDiskFunction,
@@ -22,6 +22,7 @@ from lglab.chord_solver import (
 )
 from lglab.analysis import cap_config, cut_config, random_binary_data
 from lglab.level_stack import disk_samples
+from helpers import cell_area
 
 PCB = PiecewiseConstantBoundary
 

@@ -14,12 +14,11 @@ from lglab.circle_geometry import (
     ChordEdge,
     DomainError,
     ccw_measure,
-    cell_area,
     chord_length,
     index_of_angle,
     segment_area,
 )
-from helpers import arc_contains
+from helpers import arc_contains, cell_area
 
 
 class TestAngle:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lglab import __version__, analysis, circle_geometry
+from lglab import __version__, circle_geometry
 from lglab.circle_geometry import Angle
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
 from lglab.cli import main
@@ -73,6 +73,13 @@ class TestGenerate:
         code, _, err = run(spec)
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("end", ["1e999", "Infinity"])
+    def test_infinite_arc_endpoint_exit_2(self, end):
+        code, out, err = run(["generate", "arcs", f"[[0, {end}]]"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed arcs spec")
 
 
 class TestSolve:
@@ -251,28 +258,21 @@ class TestVerify:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
-        "suite", ["nonexistence", "nonlinearity", "nonlocality", "inequalities", "oracle"]
+        "suite",
+        ["nonexistence", "nonlinearity", "nonlocality", "monotone", "inequalities", "oracle"],
     )
     def test_samples_rejected_where_unused(self, suite):
-        # these suites have fixed sample counts, so the flag would be ignored
-        code, out, err = run(["verify", suite, "--samples", "10"])
-        assert code == 1
-        assert out == ""
-        diag = json.loads(err)
-        assert diag["error"] == "DomainError"
-        assert "--samples" in diag["message"]
+        # no suite takes a sample count, so the flag is a usage error
+        with pytest.raises(SystemExit) as info:
+            run(["verify", suite, "--samples", "10"])
+        assert info.value.code == 2
 
-    def test_monotone_samples_default(self, monkeypatch):
-        seen = []
-
-        def spy(data, k_max, **kw):
-            seen.append(kw["samples"])
-            return analysis.ScenarioReport("spy", seed=kw["seed"])
-
-        monkeypatch.setattr(analysis, "monotone_pipeline", spy)
-        assert run(["verify", "monotone"])[0] == 0
-        assert run(["verify", "monotone", "--samples", "3000"])[0] == 0
-        assert seen == [50000, 50000, 3000, 3000]
+    def test_monotone_report_ignores_seed(self):
+        code_a, out_a, _ = run(["verify", "monotone", "--seed", "1"])
+        code_b, out_b, _ = run(["verify", "monotone", "--seed", "2"])
+        assert code_a == code_b == 0
+        assert '"seed":1,' in out_a
+        assert out_a.replace('"seed":1,', '"seed":2,') == out_b
 
     def test_out_flag(self, tmp_path):
         p = tmp_path / "rep.json"

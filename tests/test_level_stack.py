@@ -94,7 +94,7 @@ def test_import_loads_no_scipy(module):
 class TestSolveGeneral:
     def test_binary_data_gives_single_slice(self, caps):
         stack = solve_general(caps)
-        assert stack.n_slices == 1
+        assert len(stack.slices) == 1
         assert stack.values == (0.0, 1.0)
         assert stack.slices[0].threshold == 0.5
         assert stack.slices[0].gap == 1.0
@@ -108,7 +108,7 @@ class TestSolveGeneral:
 
     def test_constant(self):
         stack = solve_general(PCB.constant(0.7))
-        assert stack.n_slices == 0
+        assert len(stack.slices) == 0
         assert stack.evaluate((0.1, 0.2)) == 0.7
         assert bv_energy(stack) == 0.0
 
@@ -141,7 +141,7 @@ class TestSolveGeneral:
         # scaling and shifting the values must not change the chords
         data = shifted(caps.scaled(3.0), -1.0)
         stack = solve_general(data)
-        assert stack.n_slices == 1
+        assert len(stack.slices) == 1
         assert stack.slices[0].config.matching == solve_binary(caps).matching
         assert stack.values == (-1.0, 2.0)
 
