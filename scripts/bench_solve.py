@@ -17,9 +17,11 @@ pi/4096 lattice with 200, 1000 and 2000 transitions (``latticeM``).  The
 lattice: all 16 points of pi/8, where energies tie, and a seeded subset of
 pi/2048.  Two instances time the data path: ``load200`` reads the JSON of
 the 200-transition lattice with ``from_json_dict`` and builds its
-transitions with ``transitions_of``, and ``oracle16q8`` runs
+transitions with ``transitions_of``, and ``oracleMqQ`` runs
 ``enumerate_optimal`` and both ``solve_binary`` modes on one data object of
-the 16 points of pi/8.  The call is chosen by the instance name.
+M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
+``oracle-small`` benchmark workload) and ``oracle16q8`` (all 16 points).
+The call is chosen by the instance name.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the solve time and of the peak RSS, the raw runs, the
@@ -42,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
-             "load200", "oracle16q8")
+             "load200", "oracle8q12", "oracle16q8")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10

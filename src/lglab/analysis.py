@@ -21,6 +21,7 @@ import numpy as np
 
 from .circle_geometry import Angle, Arc, DomainError, ccw_measure, segment_area
 from .boundary_data import (
+    BISECT_TOL,
     PiecewiseConstantBoundary,
     build_fn,
     build_gn,
@@ -544,6 +545,8 @@ def monotone_pipeline(
     rep.details["eps0"] = eps0
     if not (0.0 < eps0 < min(min_gap, min_len) / 2.0):
         raise DomainError("eps0 must keep arcs and gaps from degenerating")
+    if eps0 * 2.0 ** -k_max < 100 * BISECT_TOL:  # quantize's crossings stop halving the distances
+        raise DomainError(f"eps0 * 2**-k_max is below {100 * BISECT_TOL:g}, too narrow for quantize to resolve")
     us, vs = [], []
     for k in range(k_max + 1):
         eps = eps0 * 2.0 ** (-k)

@@ -26,6 +26,7 @@ from .circle_geometry import (
 )
 
 TAU = math.tau
+BISECT_TOL = 1e-12  # angular tolerance of quantize's crossing bisection
 
 
 class PiecewiseConstantBoundary:
@@ -538,7 +539,7 @@ def quantize(
         hi = grid[jj] + h
         thr = (lv[:-1] + lv[1:])[np.where(steps == 1, t, t - 1)] / 2.0
         s_lo = f.value_at_many(lo) < thr
-        while float(np.max(hi - lo)) > 1e-12:
+        while float(np.max(hi - lo)) > BISECT_TOL:
             mid = 0.5 * (lo + hi)
             below = f.value_at_many(mid) < thr
             take_lo = below == s_lo

@@ -21,7 +21,6 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle_geometry import (
     Angle,
@@ -49,9 +48,9 @@ class Transition:
 class TransitionSet(tuple):
     """Validated, immutable ccw transition tuple that also holds the value
     across angle 0 (``base``), the normalized ``angles`` and their float
-    radians ``u`` (read only).  The only place that checks order,
-    alternation and base consistency; configurations built on one set share
-    it unchecked.  Order is checked by ``strictly_increasing``.
+    radians ``u`` (read only).  The constructor checks order (with
+    ``strictly_increasing``), alternation and base; ``transitions_of`` builds
+    a data object's set unchecked, and configurations share a set as it is.
     """
 
     def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
@@ -68,9 +67,13 @@ class TransitionSet(tuple):
         # the wrap arc holds value 1 exactly when the last transition is rising
         if self and base != int(self[-1].rising):
             raise DomainError("base value inconsistent with transition types")
-        u = np.array(u, dtype=float)
+        return cls._of(self, int(base), angles, np.array(u, dtype=float))
+
+    @classmethod
+    def _of(cls, transitions, base: int, angles, u: np.ndarray) -> "TransitionSet":
+        self = super().__new__(cls, transitions)
         u.flags.writeable = False
-        object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "u", u)
         return self
@@ -82,14 +85,14 @@ class TransitionSet(tuple):
 
 
 def transitions_of(data) -> Tuple[TransitionSet, int]:
-    """The validated transition set (ccw order) and the value held across
-    angle 0, built once per data object and kept on it."""
+    """The transition set (ccw order) and the value held across angle 0,
+    built once per data object and kept on it."""
     if not data.is_binary:
         raise DomainError("solver needs binary data with values in {0, 1}")
     if data._transitions is None:
-        # constant data has no breakpoints and one value, so no transitions
+        # merged binary data is sorted and alternating, and ends on its base
         rising = [Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)]
-        data._transitions = TransitionSet(rising, int(data.values[-1]))
+        data._transitions = TransitionSet._of(rising, int(data.values[-1]), data.breakpoints, data._rad)
     return data._transitions, data._transitions.base
 
 
@@ -317,11 +320,11 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     the smallest label-1 area, "maximal" the largest; remaining ties go to
     the smallest split index (see ``_pick``).  The O(m^3) interval DP fills
     one half-span ``h`` at a time: the splits of all intervals ``(i, i + 2h)``
-    are chosen by energy in one numpy step, with area terms summed only in
-    tied columns.  The span-major, half-size tables ``E``, ``A``, ``K``
-    (``(m/2 + 1, m + 1)``) and chord terms ``C``, ``S`` (``(m/2, m)``) plus
-    two step buffers of m^2/8 + m + 1 cells take 76.5 MB at the cap of 2000
-    transitions, where a solve takes about 2.3 s on a 2-vCPU x86-64 host.
+    are chosen by energy in one numpy step; a step with a tie first fills the
+    area table ``A`` that far, then applies ``_pick`` to all its columns.  The
+    tables ``E``, ``A``, int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms ``C``,
+    ``S`` (``(m/2, m)``) and three step buffers take 80.6 MB at 2000
+    transitions (60.6 MB without a tie), where a solve takes 1.9 s on 2 vCPUs.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -345,10 +348,9 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     half = n // 2
     E = np.zeros((half + 1, n + 1))
     A = np.zeros((half + 1, n + 1))
-    K = np.zeros((half + 1, n + 1), dtype=np.int32)
-    E_out = sliding_window_view(E.ravel(), n + 1)
-    A_out = sliding_window_view(A.ravel(), n + 1)
-    u_at = sliding_window_view(np.concatenate((u, np.zeros(n))), n)  # u_at[s, i] = u[s+i]
+    T = np.zeros((half + 1, n + 1), dtype=np.int32)
+    E_out, A_out = (np.ndarray((X.size - n, n + 1), buffer=X, strides=(8, 8)) for X in (E, A))
+    u_at = np.ndarray((n + 1, n), buffer=np.concatenate((u, np.zeros(n))), strides=(8, 8))  # u[s+i]
     # chord (i, i + 1 + 2t) terms, span-major like E: C[t, i] is its length,
     # S[t, i] its signed area term (entries with i + 1 + 2t >= n read the
     # zero padding of u_at and are never used)
@@ -359,25 +361,29 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     np.sin(S, out=S)
     S *= sgn
     cols = np.arange(n + 1)
-    # step buffers for the energies and their mask; h * rows <= (n + 1)^2 / 8
+    # step buffers for the energies, their mask and tied areas; h * rows <= (n + 1)^2 / 8
     e_buf = np.empty(n * n // 8 + n + 1)
+    a_buf = np.empty(e_buf.size)
     ok_buf = np.empty(e_buf.size, dtype=bool)
+    filled = 0  # A holds the areas up to this half-span; only a tie reads them
     for h in range(1, half + 1):
         rows = n - 2 * h + 1
-        c = cols[:rows]
         start = (h - 1) * (n + 1) + 2
-        A_o = A_out[start :: 1 - n][:h, :rows]
-        e = e_buf[: h * rows].reshape(h, rows)
-        np.add(C[:h, :rows], E[:h, 1 : 1 + rows], out=e)
+        e = np.add(C[:h, :rows], E[:h, 1 : 1 + rows], out=e_buf[: h * rows].reshape(h, rows))
         e += E_out[start :: 1 - n][:h, :rows]
         ok = _near_min(e, out=ok_buf[: h * rows].reshape(h, rows))
-        t = ok.argmax(axis=0)  # what _pick returns unless energies tie
-        tied = (ok.sum(axis=0) > 1).nonzero()[0]
-        if tied.size:
-            t[tied] = _pick(None, S[:h, tied] + A[:h, 1 + tied] + A_o[:, tied], ok[:, tied])
-        E[h, :rows] = e[t, c]
-        A[h, :rows] = S[t, c] + A[t, 1 + c] + A_o[t, c]
-        K[h, :rows] = cols[1 : 1 + rows] + 2 * t
+        if np.count_nonzero(ok) > rows:  # a tie: untied columns _pick as argmax does
+            for g in range(filled + 1, h):  # areas of the splits chosen since the last tie
+                t, c = T[g, : n - 2 * g + 1], cols[: n - 2 * g + 1]
+                A[g, : c.size] = S[t, c] + A[t, 1 + c] + A_out[(g - 1) * (n + 1) + 2 :: 1 - n][t, c]
+            filled = h - 1
+            a = np.add(S[:h, :rows], A[:h, 1 : 1 + rows], out=a_buf[: h * rows].reshape(h, rows))
+            a += A_out[start :: 1 - n][:h, :rows]
+            t = _pick(None, a, ok)
+        else:
+            t = ok.argmax(axis=0)
+        E[h, :rows] = e[t, cols[:rows]]
+        T[h, :rows] = t
 
     matching: List[Tuple[int, int]] = []
     work = [(0, n)]
@@ -385,7 +391,7 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
         i, j = work.pop()
         if i >= j:
             continue
-        k = int(K[(j - i) // 2, i])
+        k = i + 1 + 2 * T.item((j - i) // 2, i)
         matching.append((i, k))
         work.append((i + 1, k))
         work.append((k + 1, j))
@@ -443,10 +449,9 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
     # terms as ChordConfiguration.energy takes them; fsum rounds once, in any order
-    u, lengths = trans.u, np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n, 2):
-            lengths[i, j] = chord_length(u[j] - u[i])
+    u, lengths = trans.u.tolist(), np.zeros((n, n))
+    for i, x in enumerate(u):
+        lengths[i, i + 1 :: 2] = [chord_length(y - x) for y in u[i + 1 :: 2]]
     table = _all_matchings(n)
     energies = list(map(math.fsum, lengths[table[..., 0], table[..., 1]].tolist()))
     emin = min(energies)

@@ -286,6 +286,14 @@ class TestMonotonePipeline:
         with pytest.raises(DomainError):
             monotone_pipeline(caps, 2, eps0=2.0)
 
+    def test_unresolvable_eps_raises(self, caps):
+        # below quantize's resolution every eroded stage solves alike, and the
+        # report would fail its monotone verdict for the wrong reason
+        for eps0 in (1e-12, 1e-300):
+            with pytest.raises(DomainError, match="too narrow for quantize"):
+                monotone_pipeline(caps, 2, eps0=eps0)
+        assert monotone_pipeline(caps, 2).passed
+
 
 class TestMinMax:
     def test_nested_cantor_pair(self):

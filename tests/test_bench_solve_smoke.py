@@ -1,0 +1,41 @@
+"""Smoke test of the solver layer benchmark: ``scripts/bench_solve.py
+--child`` must still run against the package and print the check value that
+the package itself gives on the same instance."""
+
+import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lglab.chord_solver import enumerate_optimal, solve_binary, transitions_of
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_solve", ROOT / "scripts" / "bench_solve.py")
+bench_solve = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_solve)
+
+
+@pytest.mark.parametrize("name", ["oracle8q12", "load200", "lattice200"])
+def test_child_prints_the_checked_energy(name):
+    assert name in bench_solve.INSTANCES
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "scripts/bench_solve.py", "--child", name],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    out = json.loads(res.stdout.splitlines()[-1])
+    data = bench_solve.build(name)
+    trans = transitions_of(data)[0]
+    if name.startswith("oracle"):
+        want = enumerate_optimal(data)[0].energy
+    elif name.startswith("load"):
+        want = math.fsum(trans.u)
+    else:
+        want = solve_binary(data).energy
+    assert out["energy"] == want.hex()
+    assert out["transitions"] == len(trans)
+    assert out["solve_s"] > 0 and out["peak_rss_mb"] > 0

@@ -136,6 +136,31 @@ class TestTransitionSet:
         with pytest.raises(DomainError):
             ChordConfiguration(trans, ((0, 1), (2, 3)), 2)
 
+    def test_data_built_set_equals_the_validated_one(self):
+        # transitions_of trusts the data's own order proof and merge; the
+        # validating constructor must agree on every field
+        rng = random.Random(8)
+        huge = PCB([Angle(Fraction(1, 3) + 2 * 10**40, Fraction(1, 7)), Angle(0, Fraction(1, 10**30)),
+                    Angle(Fraction(3, 2)), Angle(Fraction(3, 2), Fraction(1, 10**30))], [1, 0, 0, 1])
+        cases = [PCB.constant(0.0), PCB.constant(1.0), huge] + [build_gn(k) for k in range(5)]
+        cases += [random_binary_data(rng, max_pairs=8) for _ in range(40)]
+        for data in cases:
+            trans, base = transitions_of(data)
+            ref = TransitionSet(tuple(trans), base)
+            assert trans == ref and trans.base == ref.base == base
+            assert all(a is b for a, b in zip(trans.angles, ref.angles, strict=True))
+            assert [x.hex() for x in trans.u] == [x.hex() for x in ref.u]
+            assert not trans.u.flags.writeable and not ref.u.flags.writeable
+
+    def test_constructor_still_checks(self, caps):
+        trans = tuple(transitions_of(caps)[0])
+        with pytest.raises(DomainError, match="increasing"):
+            TransitionSet(trans[1:] + trans[:1], 1)  # out of order, alternating, consistent base
+        with pytest.raises(DomainError, match="alternate"):
+            TransitionSet((trans[0], trans[2]), 0)
+        with pytest.raises(DomainError, match="inconsistent"):
+            TransitionSet(trans, 1)
+
     def test_empty_set_takes_the_requested_base(self):
         one, base = transitions_of(PCB.constant(1.0))
         assert base == 1
