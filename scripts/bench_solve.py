@@ -20,8 +20,10 @@ the 200-transition lattice with ``from_json_dict`` and builds its
 transitions with ``transitions_of``, and ``oracleMqQ`` runs
 ``enumerate_optimal`` and both ``solve_binary`` modes on one data object of
 M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
-``oracle-small`` benchmark workload) and ``oracle16q8`` (all 16 points).
-The call is chosen by the instance name.
+``oracle-small`` benchmark workload), ``oracle16q8`` (all 16 points) and
+``oracle24q12`` (all 24 points, above ``SCALAR_FILL_MAX``, where the
+DP takes its numpy fill and enumeration is refused, so only the two solves
+run).  The call is chosen by the instance name.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the solve time and of the peak RSS, the raw runs, the
@@ -44,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
-             "load200", "oracle8q12", "oracle16q8")
+             "load200", "oracle8q12", "oracle16q8", "oracle24q12")
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10
@@ -76,7 +78,7 @@ def child(name: str) -> None:
     import math
 
     from lglab.boundary_data import PiecewiseConstantBoundary
-    from lglab.chord_solver import enumerate_optimal, solve_binary, transitions_of
+    from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
 
     data = build(name)
     load = name.startswith("load")
@@ -86,8 +88,11 @@ def child(name: str) -> None:
     if load:
         trans = transitions_of(PiecewiseConstantBoundary.from_json_dict(doc))[0]
     elif name.startswith("oracle"):
-        cfg = enumerate_optimal(data)[0]
-        solve_binary(data, "minimal"), solve_binary(data, "maximal")
+        # above its cap enumeration is refused, and the minimal solve is checked
+        enum = enumerate_optimal(data)[0] if len(data.breakpoints) <= ENUMERATION_CAP else None
+        cfg = solve_binary(data, "minimal")
+        solve_binary(data, "maximal")
+        cfg = enum or cfg
     else:
         cfg = enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
     solve_s = time.perf_counter() - t

@@ -136,6 +136,17 @@ class ChordConfiguration:
         self.matching = _validate_matching(len(transitions), matching)
         self.base_value = transitions.base
 
+    @classmethod
+    def _of(cls, transitions: TransitionSet, matching: Tuple[Tuple[int, int], ...]) -> "ChordConfiguration":
+        """A configuration of a matching that is non-crossing, perfect and
+        sorted by construction (the DP backtrack, the enumeration table),
+        kept as it is without ``_validate_matching``."""
+        self = cls.__new__(cls)
+        self.transitions = transitions
+        self.matching = matching
+        self.base_value = transitions.base
+        return self
+
     # -- scalar invariants ------------------------------------------------
     @cached_property
     def energy(self) -> float:
@@ -294,6 +305,41 @@ class BinaryDiskFunction:
 # ---------------------------------------------------------------------------
 # the interval DP
 
+SCALAR_FILL_MAX = 20  # the most transitions the scalar fill takes (see solve_binary)
+
+
+def _chord_diffs(u: np.ndarray) -> np.ndarray:
+    """``u[i + 1 + 2t] - u[i]`` at ``[t, i]``: the span-major chord table
+    of shape (m/2, m) from which both fills take their chord terms (entries
+    with i + 1 + 2t >= m read zero padding and are never used)."""
+    n = u.size
+    u_at = np.ndarray((n + 1, n), buffer=np.concatenate((u, np.zeros(n))), strides=(8, 8))  # u[s+i]
+    return u_at[1::2] - u
+
+
+def _chord_lengths(trans: TransitionSet) -> np.ndarray:
+    """Chord (i, i + 1 + 2t) length at ``[t, i]``."""
+    C = _chord_diffs(trans.u)
+    C *= 0.5
+    np.sin(C, out=C)
+    C *= 2.0
+    return C
+
+
+def _area_terms(trans: TransitionSet, mode: str) -> np.ndarray:
+    """Chord (i, i + 1 + 2t) signed area term at ``[t, i]``: sin(u[k] - u[i]),
+    negated for a rising i, and negated again in maximal mode so the smallest
+    term always wins.  Only a tie reads it, so the fills build it at their
+    first tie."""
+    sgn = np.where([t.rising for t in trans], -1.0, 1.0)
+    if mode == "maximal":
+        sgn = -sgn
+    S = _chord_diffs(trans.u)
+    np.sin(S, out=S)
+    S *= sgn
+    return S
+
+
 def _near_min(e: np.ndarray, out=None) -> np.ndarray:
     """Mask of the near-minimal energies along axis 0 (see ``_pick``)."""
     emin = e.min(axis=0)
@@ -313,35 +359,29 @@ def _pick(e: np.ndarray, a: np.ndarray, near=None) -> np.ndarray:
     return (a <= a.min(axis=0) + AREA_TOL).argmax(axis=0)
 
 
-def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
-    """Minimum-total-chord-length configuration for binary boundary data.
-
-    ``mode`` picks the representative among energy ties: "minimal" prefers
-    the smallest label-1 area, "maximal" the largest; remaining ties go to
-    the smallest split index (see ``_pick``).  The O(m^3) interval DP fills
-    one half-span ``h`` at a time: the splits of all intervals ``(i, i + 2h)``
-    are chosen by energy in one numpy step; a step with a tie first fills the
-    area table ``A`` that far, then applies ``_pick`` to all its columns.  The
-    tables ``E``, ``A``, int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms ``C``,
-    ``S`` (``(m/2, m)``) and three step buffers take 80.6 MB at 2000
-    transitions (60.6 MB without a tie), where a solve takes 1.9 s on 2 vCPUs.
-    """
-    if mode not in ("minimal", "maximal"):
-        raise DomainError(f"unknown mode {mode!r}")
-    trans, base = transitions_of(data)
+def _backtrack(trans: TransitionSet, split) -> "ChordConfiguration":
+    """The configuration of a filled DP: ``split(h * (m + 1) + i)`` is the
+    offset t of the split k = i + 1 + 2t chosen for interval (i, i + 2h).
+    Inner intervals are visited first, so the chords come out sorted."""
     n = len(trans)
-    if n == 0:
-        return ChordConfiguration(trans, (), base)
-    if n > MAX_TRANSITIONS:
-        raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
+    matching: List[Tuple[int, int]] = []
+    work = [(0, n)]
+    while work:
+        i, j = work.pop()
+        if i >= j:
+            continue
+        k = i + 1 + 2 * split((j - i) // 2 * (n + 1) + i)
+        matching.append((i, k))
+        work.append((k + 1, j))
+        work.append((i + 1, k))
+    return ChordConfiguration._of(trans, tuple(matching))
 
-    u = trans.u
-    # area term of chord (i, k): sin(u[k] - u[i]), negated for a rising i,
-    # and negated again in maximal mode so the smallest term always wins
-    sgn = np.where([t.rising for t in trans], -1.0, 1.0)
-    if mode == "maximal":
-        sgn = -sgn
 
+def _numpy_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
+    """The DP filled one half-span at a time, each a numpy step over all
+    (split, start) pairs; ``solve_binary`` uses it above ``SCALAR_FILL_MAX``
+    transitions."""
+    n = len(trans)
     # Row h of each table holds the intervals (i, i + 2h) at column i.  For
     # half-span h, split k = i + 1 + 2t pairs i with k and leaves (i+1, k)
     # at E[t, i+1] and (k+1, i+2h) at flat index (h-1)(n+1) + 2 + i - t(n-1).
@@ -350,16 +390,7 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     A = np.zeros((half + 1, n + 1))
     T = np.zeros((half + 1, n + 1), dtype=np.int32)
     E_out, A_out = (np.ndarray((X.size - n, n + 1), buffer=X, strides=(8, 8)) for X in (E, A))
-    u_at = np.ndarray((n + 1, n), buffer=np.concatenate((u, np.zeros(n))), strides=(8, 8))  # u[s+i]
-    # chord (i, i + 1 + 2t) terms, span-major like E: C[t, i] is its length,
-    # S[t, i] its signed area term (entries with i + 1 + 2t >= n read the
-    # zero padding of u_at and are never used)
-    S = u_at[1::2] - u
-    C = S * 0.5
-    np.sin(C, out=C)
-    C *= 2.0
-    np.sin(S, out=S)
-    S *= sgn
+    C, S = _chord_lengths(trans), None
     cols = np.arange(n + 1)
     # step buffers for the energies, their mask and tied areas; h * rows <= (n + 1)^2 / 8
     e_buf = np.empty(n * n // 8 + n + 1)
@@ -373,6 +404,8 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
         e += E_out[start :: 1 - n][:h, :rows]
         ok = _near_min(e, out=ok_buf[: h * rows].reshape(h, rows))
         if np.count_nonzero(ok) > rows:  # a tie: untied columns _pick as argmax does
+            if S is None:
+                S = _area_terms(trans, mode)
             for g in range(filled + 1, h):  # areas of the splits chosen since the last tie
                 t, c = T[g, : n - 2 * g + 1], cols[: n - 2 * g + 1]
                 A[g, : c.size] = S[t, c] + A[t, 1 + c] + A_out[(g - 1) * (n + 1) + 2 :: 1 - n][t, c]
@@ -384,18 +417,95 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
             t = ok.argmax(axis=0)
         E[h, :rows] = e[t, cols[:rows]]
         T[h, :rows] = t
+    return _backtrack(trans, T.item)
 
-    matching: List[Tuple[int, int]] = []
-    work = [(0, n)]
-    while work:
-        i, j = work.pop()
-        if i >= j:
-            continue
-        k = i + 1 + 2 * T.item((j - i) // 2, i)
-        matching.append((i, k))
-        work.append((i + 1, k))
-        work.append((k + 1, j))
-    return ChordConfiguration(trans, matching, base)
+
+@lru_cache(maxsize=None)
+def _schedule(n: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...]:
+    """The scalar fill's cells in fill order.  Interval (i, i + 2h) is cell
+    h(n+1) + i of the flat tables; for each split offset t it lists the flat
+    index of the chord term (t n + i, in ``_chord_diffs``' layout) and of
+    the inner and outer intervals (i+1, k) and (k+1, i+2h), k = i + 1 + 2t."""
+    w = n + 1
+    return tuple(
+        (h * w + i, tuple((t * n + i, t * w + i + 1, (h - 1 - t) * w + i + 2 + 2 * t) for t in range(h)))
+        for h in range(1, n // 2 + 1)
+        for i in range(n - 2 * h + 1)
+    )
+
+
+def _pick_area(areas: List[float]) -> int:
+    """The area half of ``_pick`` in one cell of the scalar fill: the first
+    position whose area is within ``AREA_TOL`` of the smallest."""
+    bound = min(areas) + AREA_TOL
+    return next(k for k, a in enumerate(areas) if a <= bound)
+
+
+def _scalar_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
+    """The DP filled one cell at a time over float lists, with ``_pick``'s
+    rule in the same IEEE operations as ``_numpy_fill``: energies
+    (C + E_in) + E_out, the bound emin + ENERGY_REL_TOL * max(1, |emin|),
+    and, in a cell with more than one near-minimal split, areas
+    (S + A_in) + A_out and the first split within AREA_TOL of the smallest.
+    Like ``_numpy_fill`` it fills the area table only as far as a tie reads
+    it.  ``solve_binary`` uses it up to ``SCALAR_FILL_MAX`` transitions."""
+    n = len(trans)
+    cells = _schedule(n)
+    C = _chord_lengths(trans).ravel().tolist()
+    E = [0.0] * ((n // 2 + 1) * (n + 1))
+    T = [0] * len(E)
+    S = A = None
+    filled = 0  # A holds the areas of the cells before this position
+    for pos, (cell, splits) in enumerate(cells):
+        es = [C[c] + E[i] + E[o] for c, i, o in splits]
+        t = 0
+        if len(es) > 1:
+            emin = min(es)
+            bound = emin + ENERGY_REL_TOL * max(1.0, abs(emin))
+            t = es.index(emin)
+            if sorted(es)[1] <= bound:  # more than one near-minimal split
+                if S is None:
+                    S, A = _area_terms(trans, mode).ravel().tolist(), [0.0] * len(E)
+                for done, done_splits in cells[filled:pos]:
+                    c, i, o = done_splits[T[done]]
+                    A[done] = S[c] + A[i] + A[o]
+                filled = pos
+                near = [k for k, e in enumerate(es) if e <= bound]
+                t = near[_pick_area([S[c] + A[i] + A[o] for c, i, o in map(splits.__getitem__, near)])]
+            T[cell] = t
+        E[cell] = es[t]
+    return _backtrack(trans, T.__getitem__)
+
+
+def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
+    """Minimum-total-chord-length configuration for binary boundary data.
+
+    ``mode`` picks the representative among energy ties: "minimal" prefers
+    the smallest label-1 area, "maximal" the largest; remaining ties go to
+    the smallest split index (see ``_pick``).  The O(m^3) interval DP has
+    two fills that choose the same splits from the same chord terms, and the
+    number of transitions picks one.  Up to ``SCALAR_FILL_MAX`` (20),
+    ``_scalar_fill`` walks the cells over float lists, because there a numpy
+    call costs more than the work it does: at 20 transitions it took 128 and
+    131 us against 141 and 146 us for the numpy fill on pi/12 and pi/2048
+    lattices, at 22 the two were level on pi/2048, and at 24 the numpy fill
+    was faster there (229 against 245 us; medians of 20 solves, each the
+    fastest of 7, on 2 vCPUs).  Above it ``_numpy_fill`` fills one half-span
+    ``h`` at a time: the splits of all intervals ``(i, i + 2h)`` are chosen
+    by energy in one numpy step; a step with a tie first fills the area
+    table ``A`` that far, then applies ``_pick`` to all its columns.  The
+    tables ``E``, ``A``, int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms
+    ``C``, ``S`` (``(m/2, m)``) and three step buffers take 80.6 MB at 2000
+    transitions (44.6 MB without a tie, which builds no ``S``), where a
+    solve takes 1.9 s on 2 vCPUs.
+    """
+    if mode not in ("minimal", "maximal"):
+        raise DomainError(f"unknown mode {mode!r}")
+    trans = transitions_of(data)[0]
+    n = len(trans)
+    if n > MAX_TRANSITIONS:
+        raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
+    return (_scalar_fill if n <= SCALAR_FILL_MAX else _numpy_fill)(trans, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +554,7 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     """All energy-optimal configurations (within 1e-12 relative), smallest
     area first.  Exhaustive over the Catalan family; refuses more than
     ``cap`` (default 16) transitions."""
-    trans, base = transitions_of(data)
+    trans = transitions_of(data)[0]
     n = len(trans)
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
@@ -456,7 +566,7 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     energies = list(map(math.fsum, lengths[table[..., 0], table[..., 1]].tolist()))
     emin = min(energies)
     bound = emin + ENERGY_REL_TOL * max(1.0, emin)
-    best = [ChordConfiguration(trans, table[k].tolist(), base)
+    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[k].tolist())))
             for k, e in enumerate(energies) if e <= bound]
     best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)
