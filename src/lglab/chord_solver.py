@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class TransitionSet(tuple):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_fill", None)  # what solve_binary shares between modes
         return self
 
     def __setattr__(self, *_):
@@ -151,13 +152,13 @@ class ChordConfiguration:
     @cached_property
     def energy(self) -> float:
         """Total chord length, summed canonically (index order, exact fsum)."""
-        u = self.transitions.u
+        u = self.transitions.u.tolist()
         return math.fsum(chord_length(u[j] - u[i]) for i, j in self.matching)
 
     @cached_property
     def label_area(self) -> float:
         """Area of the label-1 region (boundary arcs plus chord terms)."""
-        u = self.transitions.u
+        u = self.transitions.u.tolist()
         n = len(self.transitions)
         if n == 0:
             return math.pi * self.base_value
@@ -359,11 +360,10 @@ def _pick(e: np.ndarray, a: np.ndarray, near=None) -> np.ndarray:
     return (a <= a.min(axis=0) + AREA_TOL).argmax(axis=0)
 
 
-def _backtrack(trans: TransitionSet, split) -> "ChordConfiguration":
-    """The configuration of a filled DP: ``split(h * (m + 1) + i)`` is the
-    offset t of the split k = i + 1 + 2t chosen for interval (i, i + 2h).
-    Inner intervals are visited first, so the chords come out sorted."""
-    n = len(trans)
+def _backtrack(n: int, split) -> Tuple[Tuple[int, int], ...]:
+    """The matching of a filled DP: ``split(h * (n + 1) + i)`` is the offset t
+    of the split k = i + 1 + 2t chosen for interval (i, i + 2h).  Inner
+    intervals are visited first, so the chords come out sorted."""
     matching: List[Tuple[int, int]] = []
     work = [(0, n)]
     while work:
@@ -374,13 +374,14 @@ def _backtrack(trans: TransitionSet, split) -> "ChordConfiguration":
         matching.append((i, k))
         work.append((k + 1, j))
         work.append((i + 1, k))
-    return ChordConfiguration._of(trans, tuple(matching))
+    return tuple(matching)
 
 
-def _numpy_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
+def _numpy_fill(trans: TransitionSet, mode: str):
     """The DP filled one half-span at a time, each a numpy step over all
     (split, start) pairs; ``solve_binary`` uses it above ``SCALAR_FILL_MAX``
-    transitions."""
+    transitions.  Returns the matching and, for ``solve_binary`` to share,
+    the matching again when no step tied (it serves both modes), else None."""
     n = len(trans)
     # Row h of each table holds the intervals (i, i + 2h) at column i.  For
     # half-span h, split k = i + 1 + 2t pairs i with k and leaves (i+1, k)
@@ -417,7 +418,8 @@ def _numpy_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
             t = ok.argmax(axis=0)
         E[h, :rows] = e[t, cols[:rows]]
         T[h, :rows] = t
-    return _backtrack(trans, T.item)
+    matching = _backtrack(n, T.item)
+    return matching, (matching if S is None else None)
 
 
 @lru_cache(maxsize=None)
@@ -441,22 +443,33 @@ def _pick_area(areas: List[float]) -> int:
     return next(k for k, a in enumerate(areas) if a <= bound)
 
 
-def _scalar_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
+class _Tie(NamedTuple):
+    """The scalar fill's mode-free state at its first tied cell (see ``solve_binary``)."""
+
+    pos: int  # the cell's position in _schedule(n)
+    C: List[float]
+    E: List[float]
+    T: List[int]
+
+
+def _scalar_tables(trans: TransitionSet, mode: str, tie: _Tie = None):
     """The DP filled one cell at a time over float lists, with ``_pick``'s
     rule in the same IEEE operations as ``_numpy_fill``: energies
     (C + E_in) + E_out, the bound emin + ENERGY_REL_TOL * max(1, |emin|),
     and, in a cell with more than one near-minimal split, areas
     (S + A_in) + A_out and the first split within AREA_TOL of the smallest.
-    Like ``_numpy_fill`` it fills the area table only as far as a tie reads
-    it.  ``solve_binary`` uses it up to ``SCALAR_FILL_MAX`` transitions."""
+    Like ``_numpy_fill`` it fills the area table A only as far as a tie
+    reads it, from cell 0 at the first tie, also when it starts at a given
+    ``_Tie`` (on copies of its tables).  Returns T, A (None without a tie)
+    and the first ``_Tie``."""
     n = len(trans)
     cells = _schedule(n)
-    C = _chord_lengths(trans).ravel().tolist()
-    E = [0.0] * ((n // 2 + 1) * (n + 1))
-    T = [0] * len(E)
+    size = (n // 2 + 1) * (n + 1)
+    start, C, E, T = tie or (0, _chord_lengths(trans).ravel().tolist(), [0.0] * size, [0] * size)
+    E, T = E[:], T[:]
     S = A = None
     filled = 0  # A holds the areas of the cells before this position
-    for pos, (cell, splits) in enumerate(cells):
+    for pos, (cell, splits) in enumerate(cells[start:], start):
         es = [C[c] + E[i] + E[o] for c, i, o in splits]
         t = 0
         if len(es) > 1:
@@ -465,7 +478,8 @@ def _scalar_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
             t = es.index(emin)
             if sorted(es)[1] <= bound:  # more than one near-minimal split
                 if S is None:
-                    S, A = _area_terms(trans, mode).ravel().tolist(), [0.0] * len(E)
+                    tie = tie or _Tie(pos, C, E[:], T[:])
+                    S, A = _area_terms(trans, mode).ravel().tolist(), [0.0] * size
                 for done, done_splits in cells[filled:pos]:
                     c, i, o = done_splits[T[done]]
                     A[done] = S[c] + A[i] + A[o]
@@ -474,7 +488,15 @@ def _scalar_fill(trans: TransitionSet, mode: str) -> "ChordConfiguration":
                 t = near[_pick_area([S[c] + A[i] + A[o] for c, i, o in map(splits.__getitem__, near)])]
             T[cell] = t
         E[cell] = es[t]
-    return _backtrack(trans, T.__getitem__)
+    return T, A, tie
+
+
+def _scalar_fill(trans: TransitionSet, mode: str, tie: _Tie = None):
+    """``_scalar_tables``' matching, and what both modes share: that matching
+    if no cell tied, else the first ``_Tie``.  Used up to ``SCALAR_FILL_MAX``."""
+    T, _, tie = _scalar_tables(trans, mode, tie)
+    matching = _backtrack(len(trans), T.__getitem__)
+    return matching, (matching if tie is None else tie)
 
 
 def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
@@ -486,18 +508,19 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     two fills that choose the same splits from the same chord terms, and the
     number of transitions picks one.  Up to ``SCALAR_FILL_MAX`` (20),
     ``_scalar_fill`` walks the cells over float lists, because there a numpy
-    call costs more than the work it does: at 20 transitions it took 128 and
-    131 us against 141 and 146 us for the numpy fill on pi/12 and pi/2048
-    lattices, at 22 the two were level on pi/2048, and at 24 the numpy fill
-    was faster there (229 against 245 us; medians of 20 solves, each the
-    fastest of 7, on 2 vCPUs).  Above it ``_numpy_fill`` fills one half-span
-    ``h`` at a time: the splits of all intervals ``(i, i + 2h)`` are chosen
-    by energy in one numpy step; a step with a tie first fills the area
-    table ``A`` that far, then applies ``_pick`` to all its columns.  The
-    tables ``E``, ``A``, int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms
-    ``C``, ``S`` (``(m/2, m)``) and three step buffers take 80.6 MB at 2000
-    transitions (44.6 MB without a tie, which builds no ``S``), where a
-    solve takes 1.9 s on 2 vCPUs.
+    call costs more than the work it does (the two were level at 22 on 2
+    vCPUs).  Above it ``_numpy_fill`` fills one half-span ``h`` at a time:
+    the splits of all intervals ``(i, i + 2h)`` are chosen by energy in one
+    numpy step; a step with a tie first fills the area table ``A`` that far,
+    then applies ``_pick`` to all its columns.  The tables ``E``, ``A``,
+    int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms ``C``, ``S``
+    (``(m/2, m)``) and three step buffers take 80.6 MB at 2000 transitions
+    (44.6 MB without a tie, which builds no ``S``).
+
+    The mode enters a fill only at its first tie, so the set keeps in
+    ``_fill`` an untied fill's matching, which answers both modes, or the
+    scalar fill's ``_Tie``, where the next fill resumes; neither refers back
+    to the set, which would make a cycle.  A tied numpy fill shares nothing.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -505,7 +528,12 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     n = len(trans)
     if n > MAX_TRANSITIONS:
         raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
-    return (_scalar_fill if n <= SCALAR_FILL_MAX else _numpy_fill)(trans, mode)
+    shared = trans._fill
+    if shared is None or isinstance(shared, _Tie):
+        matching, shared = _scalar_fill(trans, mode, shared) if n <= SCALAR_FILL_MAX else _numpy_fill(trans, mode)
+        object.__setattr__(trans, "_fill", shared)
+        return ChordConfiguration._of(trans, matching)
+    return ChordConfiguration._of(trans, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +578,38 @@ def select_optimal(
     return ordered[int(_pick(e, a))]
 
 
+@lru_cache(maxsize=None)
+def _matching_index(n: int) -> np.ndarray:
+    """Read-only (n/2, Catalan(n/2)) intp table: column r holds the chords of
+    ``_all_matchings(n)[r]`` as positions in the list of all (i, k), k - i odd."""
+    i, k = _all_matchings(n).T.astype(np.intp)
+    start = np.cumsum([0] + [(n - x) // 2 for x in range(n)])
+    index = start[i] + (k - i - 1) // 2
+    index.flags.writeable = False
+    return index
+
+
+def _near_optimal(terms: np.ndarray) -> List[int]:
+    """The columns of ``terms`` (h chord lengths per matching) whose ``fsum``
+    is in the energy band of the smallest, as a scan of every ``fsum`` finds
+    them; only float sums s within the band of the smallest, s0, plus 2 err
+    are summed exactly.  With u = 2**-53, a column of exact sum R >= 0 has
+    |s - R| <= gR, g = (h-1)u / (1 - (h-1)u) < hu, in any order, and
+    |fsum - R| <= uR; so the smallest fsum is at most (1 + u) / (1 - g) s0,
+    and as the band B(x) = x + tol max(1, x) is monotone, a column in the
+    band of it (two roundings) has s <= (1 + g)(1 + u)^3 / ((1 - u)(1 - g))
+    B(s0) < (1 + (2h + 4)u) B(s0).  2 err = (2h + 8)u max(1, s0) covers that
+    and the threshold's 3 roundings, and the smallest fsum is among those."""
+    s = terms.sum(axis=0)
+    s0 = float(s.min())
+    err = (terms.shape[0] + 4) * 2.0**-53 * max(1.0, s0)  # (h + 4)u max(1, s0)
+    cols = np.flatnonzero(s <= s0 + ENERGY_REL_TOL * max(1.0, s0) + 2 * err).tolist()
+    energies = list(map(math.fsum, terms[:, cols].T.tolist()))
+    emin = min(energies)
+    bound = emin + ENERGY_REL_TOL * max(1.0, emin)
+    return [r for r, e in zip(cols, energies) if e <= bound]
+
+
 def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfiguration, ...]:
     """All energy-optimal configurations (within 1e-12 relative), smallest
     area first.  Exhaustive over the Catalan family; refuses more than
@@ -558,16 +618,12 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     n = len(trans)
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
-    # terms as ChordConfiguration.energy takes them; fsum rounds once, in any order
-    u, lengths = trans.u.tolist(), np.zeros((n, n))
-    for i, x in enumerate(u):
-        lengths[i, i + 1 :: 2] = [chord_length(y - x) for y in u[i + 1 :: 2]]
+    # chord_length's own operations; its range check holds on sorted u
+    u = trans.u.tolist()
+    lengths = np.array([2.0 * math.sin(0.5 * (y - x)) for i, x in enumerate(u) for y in u[i + 1 :: 2]])
     table = _all_matchings(n)
-    energies = list(map(math.fsum, lengths[table[..., 0], table[..., 1]].tolist()))
-    emin = min(energies)
-    bound = emin + ENERGY_REL_TOL * max(1.0, emin)
-    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[k].tolist())))
-            for k, e in enumerate(energies) if e <= bound]
+    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[r].tolist())))
+            for r in _near_optimal(lengths[_matching_index(n)])]
     best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)
 

@@ -34,6 +34,7 @@ _PI_DIGITS = (
 )
 PI_LO = Fraction(_PI_DIGITS)
 PI_HI = PI_LO + Fraction(1, 10**75)
+_PI_N, _PI_D = PI_LO.numerator, PI_LO.denominator
 PI_MAX_DIGITS = 4800
 
 
@@ -152,12 +153,17 @@ class Angle:
     # -- numeric views ------------------------------------------------
     @property
     def radians(self) -> float:
-        # pi_mult*p + offset for p near pi, by one correctly rounded int/int division
+        # pi_mult*p + offset for p near pi, by one correctly rounded int/int
+        # division (the same two integers when offset 0 and p = PI_LO)
         x = self._radians
         if x is None:
-            q, r, p = self.pi_mult, self.offset, _pi_for(self.pi_mult)
-            den = q.denominator * p.denominator
-            x = (q.numerator * p.numerator * r.denominator + r.numerator * den) / (den * r.denominator)
+            q, r = self.pi_mult, self.offset
+            if not r and abs(q.numerator) < _PLAIN * q.denominator:
+                x = q.numerator * _PI_N / (q.denominator * _PI_D)
+            else:
+                p = _pi_for(q)
+                den = q.denominator * p.denominator
+                x = (q.numerator * p.numerator * r.denominator + r.numerator * den) / (den * r.denominator)
             object.__setattr__(self, "_radians", x)
         return x
 

@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from lglab.boundary_data import CantorStage, DiscreteConvolution, PiecewiseConstantBoundary
+from lglab.chord_solver import ENERGY_REL_TOL, ChordConfiguration, _all_matchings, transitions_of
 from lglab.circle_geometry import (
     Angle,
     Arc,
@@ -16,6 +17,7 @@ from lglab.circle_geometry import (
     ChordEdge,
     DomainError,
     ccw_measure,
+    chord_length,
     segment_area,
 )
 
@@ -146,3 +148,31 @@ def cell_area(cell: Cell) -> float:
         if isinstance(e, ArcEdge):
             area += segment_area(ccw_measure(e.start, e.end))
     return area
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration with every matching summed by ``math.fsum``: the
+# reference for the prefilter of ``chord_solver._near_optimal``
+
+def fsum_scan(rows) -> list:
+    """Indices of the rows (sequences of chord lengths) whose ``math.fsum``
+    is within the energy tolerance of the smallest, in row order."""
+    energies = [math.fsum(r) for r in rows]
+    emin = min(energies)
+    bound = emin + ENERGY_REL_TOL * max(1.0, emin)
+    return [k for k, e in enumerate(energies) if e <= bound]
+
+
+def fsum_enumeration(data) -> tuple:
+    """``enumerate_optimal`` scoring every row of the matching table with
+    ``math.fsum`` over ``chord_length`` terms."""
+    trans = transitions_of(data)[0]
+    n = len(trans)
+    u, lengths = trans.u.tolist(), np.zeros((n, n))
+    for i, x in enumerate(u):
+        lengths[i, i + 1 :: 2] = [chord_length(y - x) for y in u[i + 1 :: 2]]
+    table = _all_matchings(n)
+    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[k].tolist())))
+            for k in fsum_scan(lengths[table[..., 0], table[..., 1]].tolist())]
+    best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
+    return tuple(best)

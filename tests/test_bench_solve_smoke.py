@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fsum_enumeration
 from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,7 +21,7 @@ bench_solve = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_solve)
 
 
-@pytest.mark.parametrize("name", ["oracle8q12", "oracle24q12", "load200", "lattice200"])
+@pytest.mark.parametrize("name", ["oracle8q12", "oracle16q8", "oracle24q12", "load200", "lattice200"])
 def test_child_prints_the_checked_energy(name):
     assert name in bench_solve.INSTANCES
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -32,6 +33,7 @@ def test_child_prints_the_checked_energy(name):
     trans = transitions_of(data)[0]
     if name.startswith("oracle") and len(trans) <= ENUMERATION_CAP:
         want = enumerate_optimal(data)[0].energy
+        assert want.hex() == fsum_enumeration(data)[0].energy.hex()  # every row summed exactly
     elif name.startswith("load"):
         want = math.fsum(trans.u)
     else:

@@ -40,8 +40,10 @@ FILLS = ("scalar", "numpy")
 
 
 def _fill(name, data, mode):
-    """Run one fill of the DP directly, whatever the size of the data."""
-    return getattr(chord_solver, f"_{name}_fill")(transitions_of(data)[0], mode)
+    """Run one fill of the DP directly, whatever the size of the data, and
+    return the configuration of its matching."""
+    trans = transitions_of(data)[0]
+    return ChordConfiguration._of(trans, getattr(chord_solver, f"_{name}_fill")(trans, mode)[0])
 
 
 def _dense_solve(data, mode, steps=None):

@@ -6,20 +6,30 @@ non-crossing matching, in recursion order, then the near-optimal energy
 filter and the (energy, area, matching) sort.  ``enumerate_optimal`` scores
 matchings from a table of chord lengths instead, and must return the same
 configurations, in the same order, with the same energy and area bits.
+It sums with ``math.fsum`` only the matchings whose float sum can be
+near-optimal; ``helpers.fsum_enumeration`` sums every one, and every
+enumeration here must equal it too, to the bit.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import fsum_enumeration, fsum_scan
+from test_dp_fill import SMALL_CASES
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.circle_geometry import Angle
 from lglab.chord_solver import (
     ENERGY_REL_TOL,
+    ENUMERATION_CAP,
     ChordConfiguration,
     _all_matchings,
+    _matching_index,
+    _near_optimal,
     _validate_matching,
     enumerate_optimal,
     transitions_of,
@@ -63,6 +73,7 @@ def _bits(configs):
 def _assert_same_as_reference(data):
     got = enumerate_optimal(data)
     assert _bits(got) == _bits(_reference_optimal(data))
+    assert _bits(got) == _bits(fsum_enumeration(data))
     return got
 
 
@@ -81,6 +92,11 @@ def test_matching_table(n):
     assert rows == _reference_matchings(n)  # recursion order
     assert len({_validate_matching(n, row) for row in rows}) == catalan
     assert _all_matchings(n) is table  # built once per size
+    index = _matching_index(n)
+    chords = [(i, k) for i in range(n) for k in range(i + 1, n, 2)]
+    assert index.dtype == np.intp and not index.flags.writeable
+    assert [[chords[x] for x in col] for col in index.T.tolist()] == [list(row) for row in rows]
+    assert _matching_index(n) is index
 
 
 @pytest.mark.parametrize("q", [4, 6, 8, 12, 16, 24, 2048])
@@ -126,3 +142,67 @@ def test_matching_at_the_edge_of_the_energy_window():
     got = _assert_same_as_reference(data)
     emin = got[0].energy
     assert got[-1].energy - emin == pytest.approx(ENERGY_REL_TOL * emin, rel=1e-3)
+
+
+@pytest.mark.parametrize("name, make", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
+def test_dense_corpus_matches_fsum_scan(name, make):
+    data = make()
+    if len(transitions_of(data)[0]) <= ENUMERATION_CAP:
+        assert _bits(enumerate_optimal(data)) == _bits(fsum_enumeration(data))
+
+
+@st.composite
+def _jittered_lattice(draw):
+    """2-16 points of the pi/q lattice, q = 2 to 24, each moved by less
+    than 1e-13 radians, where many matchings tie within the tolerance."""
+    q = draw(st.sampled_from([2, 3, 4, 6, 8, 12, 16, 24]))
+    m = 2 * draw(st.integers(1, min(8, q)))
+    ks = sorted(draw(st.lists(st.integers(0, 2 * q - 1), min_size=m, max_size=m, unique=True)))
+    jitter = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    first = draw(st.integers(0, 1))
+    return PCB([Angle(Fraction(k, q), Fraction(j, 10**14)) for k, j in zip(ks, jitter)],
+               [(first + i) % 2 for i in range(m)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jittered_lattice())
+def test_jittered_lattices_match_fsum_scan(data):
+    got = enumerate_optimal(data)
+    assert _bits(got) == _bits(fsum_enumeration(data))
+
+
+def test_prefilter_keeps_a_column_at_the_edge_of_the_band():
+    # Column 1 sums to the band edge b exactly, but its float sum rounds up
+    # to the next float above b: the prefilter's 2 * err keeps it.  Column 2
+    # sums exactly to that next float and must go; column 3 is one unit
+    # below b.  The float sums are checked, so the case is what it claims.
+    b = 1.0 + ENERGY_REL_TOL * 1.0
+    ulp = math.ulp(b)
+    above = b + ulp
+    terms = np.array([
+        [1.0, b - 2 * ulp, above - 2 * ulp, b - ulp],
+        [0.0, 11 / 16 * ulp, 11 / 16 * ulp, 0.0],
+        [0.0, 11 / 16 * ulp, 11 / 16 * ulp, 0.0],
+        [0.0, 10 / 16 * ulp, 10 / 16 * ulp, 0.0],
+    ])
+    s = terms.sum(axis=0)
+    assert s[0] == 1.0 and s[1] > b and math.fsum(terms[:, 1]) == b
+    assert math.fsum(terms[:, 2]) == above
+    rows = terms.T.tolist()
+    assert fsum_scan(rows) == [0, 1, 3]
+    assert _near_optimal(terms) == [0, 1, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(st.integers(0, 64), min_size=8, max_size=64), st.sampled_from([0.25, 1.0, 3.0]))
+def test_prefilter_equals_the_fsum_scan_near_float_edges(h, steps, base):
+    # columns of h nonnegative terms, each near a multiple of the unit in
+    # the last place of the band edge, so float sums and fsums part often
+    b = base + ENERGY_REL_TOL * max(1.0, base)
+    ulp = math.ulp(b)
+    cols = []
+    for k, x in enumerate(steps):
+        head = b - (x % 8) * ulp if k else base
+        cols.append([head] + [(x * 37 + j * 11) % 64 / 32 * ulp for j in range(h - 1)])
+    terms = np.array(cols).T
+    assert _near_optimal(terms) == fsum_scan(cols)

@@ -325,3 +325,41 @@ def test_separated_neighbours_take_no_exact_comparison(monkeypatch):
     assert _accepted(angles) and calls == []
     angles[5] = Angle(Fraction(4, 7), Fraction(1, 10**30))  # a hair above 4pi/7
     assert _accepted(angles) and len(calls) == 1
+
+
+def _general_radians(q: Fraction, r: Fraction) -> float:
+    """``Angle.radians``' general formula: q * p + r for ``_pi_for(q)``, as
+    one correctly rounded division of integers."""
+    p = circle_geometry._pi_for(q)
+    den = q.denominator * p.denominator
+    return (q.numerator * p.numerator * r.denominator + r.numerator * den) / (den * r.denominator)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(1, 2**40), st.sampled_from([0, 0, 1, -3, 10**-20]))
+def test_radians_fast_path_is_the_general_formula(num, den, offset):
+    # offset 0 and |pi_mult| < 2**53 divide qn * PI_LO's numerator by
+    # qd * its denominator without _pi_for; everything else takes it
+    q, r = Fraction(num, den), Fraction(offset)
+    assert Angle(q, r).radians.hex() == _general_radians(q, r).hex()
+
+
+def test_radians_fast_path_covers_exactly_the_plain_multiples(monkeypatch):
+    calls = []
+    pi_for = circle_geometry._pi_for
+    monkeypatch.setattr(circle_geometry, "_pi_for", lambda q: calls.append(q) or pi_for(q))
+
+    def old_path(q, r=Fraction(0)):
+        # whether Angle(q, r).radians called _pi_for, after checking its bits
+        want = _general_radians(q, r).hex()
+        calls.clear()
+        assert Angle(q, r).radians.hex() == want
+        return bool(calls)
+
+    rng = random.Random(7)
+    plain = 2**53
+    qs = [Fraction(rng.randint(-(2**60), 2**60), rng.randint(1, 2**12)) for _ in range(2000)]
+    qs += [Fraction(plain), Fraction(-plain), Fraction(plain - 1), Fraction(2 * plain - 1, 2), Fraction(10**80, 3)]
+    for q in qs:
+        assert old_path(q) == (abs(q) >= plain)
+    assert old_path(Fraction(1, 3), Fraction(1, 7))  # an offset takes the old path too
