@@ -9,9 +9,6 @@ multi-level solvers, verification scenarios, and a small CLI.
 from .circle_geometry import (
     Angle,
     Arc,
-    ArcEdge,
-    Cell,
-    ChordEdge,
     DomainError,
     chord_length,
     segment_area,
@@ -71,12 +68,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Angle",
     "Arc",
-    "ArcEdge",
     "BinaryDiskFunction",
     "CantorStage",
-    "Cell",
     "ChordConfiguration",
-    "ChordEdge",
     "DEFAULT_SEED",
     "DiscreteConvolution",
     "DomainError",

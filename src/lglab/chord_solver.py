@@ -18,15 +18,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .circle_geometry import (
     Angle,
-    ArcEdge,
-    Cell,
-    ChordEdge,
     DomainError,
     chord_length,
     strictly_increasing,
@@ -172,79 +169,10 @@ class ChordConfiguration:
             terms.append(s if not self.transitions[i].rising else -s)
         return 0.5 * math.fsum(terms)
 
-    @property
-    def n_chords(self) -> int:
-        return len(self.matching)
-
     def chord_segments(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Chord endpoints as planar points, aligned with ``matching``."""
         pts = [np.array(t.angle.point()) for t in self.transitions]
         return [(pts[i], pts[j]) for i, j in self.matching]
-
-    # -- cells --------------------------------------------------------------
-    @cached_property
-    def _forest(self):
-        """Children lists of the chord nesting forest plus the root list."""
-        partner = {}
-        for i, j in self.matching:
-            partner[i] = j
-            partner[j] = i
-        roots: List[Tuple[int, int]] = []
-        children: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        stack: List[Tuple[int, int]] = []
-        i = 0
-        n = len(self.transitions)
-        while i < n:
-            j = partner[i]
-            node = (i, j)
-            children[node] = []
-            if stack:
-                children[stack[-1]].append(node)
-            else:
-                roots.append(node)
-            stack.append(node)
-            # advance: either descend just after i, or climb past closed nodes
-            i += 1
-            while stack and stack[-1][1] == i:
-                i += 1
-                stack.pop()
-        return roots, children
-
-    def cells(self) -> Tuple[Tuple[Cell, int], ...]:
-        """All faces of the chord arrangement with their labels.
-
-        Empty for the trivial (constant) configuration.
-        """
-        n = len(self.transitions)
-        if n == 0:
-            return ()
-        roots, children = self._forest
-        ang = [t.angle for t in self.transitions]
-        out: List[Tuple[Cell, int]] = []
-
-        def node_cell(node) -> Cell:
-            i, j = node
-            edges = []
-            cursor = i
-            for (a, b) in children[node]:
-                edges.append(ArcEdge(ang[cursor], ang[a]))
-                edges.append(ChordEdge(ang[a], ang[b]))
-                cursor = b
-            edges.append(ArcEdge(ang[cursor], ang[j]))
-            edges.append(ChordEdge(ang[j], ang[i]))
-            return Cell(tuple(edges))
-
-        for node in children:
-            out.append((node_cell(node), int(self.transitions[node[0]].rising)))
-        # root cell wraps across the cut between the last and first transition
-        edges = []
-        cursor = roots[-1][1]
-        for (a, b) in roots:
-            edges.append(ArcEdge(ang[cursor], ang[a]))
-            edges.append(ChordEdge(ang[a], ang[b]))
-            cursor = b
-        out.append((Cell(tuple(edges)), self.base_value))
-        return tuple(out)
 
     # -- pointwise labels ------------------------------------------------
     @cached_property
@@ -443,33 +371,21 @@ def _pick_area(areas: List[float]) -> int:
     return next(k for k, a in enumerate(areas) if a <= bound)
 
 
-class _Tie(NamedTuple):
-    """The scalar fill's mode-free state at its first tied cell (see ``solve_binary``)."""
-
-    pos: int  # the cell's position in _schedule(n)
-    C: List[float]
-    E: List[float]
-    T: List[int]
-
-
-def _scalar_tables(trans: TransitionSet, mode: str, tie: _Tie = None):
+def _scalar_tables(trans: TransitionSet, mode: str):
     """The DP filled one cell at a time over float lists, with ``_pick``'s
     rule in the same IEEE operations as ``_numpy_fill``: energies
     (C + E_in) + E_out, the bound emin + ENERGY_REL_TOL * max(1, |emin|),
     and, in a cell with more than one near-minimal split, areas
     (S + A_in) + A_out and the first split within AREA_TOL of the smallest.
     Like ``_numpy_fill`` it fills the area table A only as far as a tie
-    reads it, from cell 0 at the first tie, also when it starts at a given
-    ``_Tie`` (on copies of its tables).  Returns T, A (None without a tie)
-    and the first ``_Tie``."""
+    reads it.  Returns T and A (None without a tie)."""
     n = len(trans)
     cells = _schedule(n)
     size = (n // 2 + 1) * (n + 1)
-    start, C, E, T = tie or (0, _chord_lengths(trans).ravel().tolist(), [0.0] * size, [0] * size)
-    E, T = E[:], T[:]
+    C, E, T = _chord_lengths(trans).ravel().tolist(), [0.0] * size, [0] * size
     S = A = None
     filled = 0  # A holds the areas of the cells before this position
-    for pos, (cell, splits) in enumerate(cells[start:], start):
+    for pos, (cell, splits) in enumerate(cells):
         es = [C[c] + E[i] + E[o] for c, i, o in splits]
         t = 0
         if len(es) > 1:
@@ -478,7 +394,6 @@ def _scalar_tables(trans: TransitionSet, mode: str, tie: _Tie = None):
             t = es.index(emin)
             if sorted(es)[1] <= bound:  # more than one near-minimal split
                 if S is None:
-                    tie = tie or _Tie(pos, C, E[:], T[:])
                     S, A = _area_terms(trans, mode).ravel().tolist(), [0.0] * size
                 for done, done_splits in cells[filled:pos]:
                     c, i, o = done_splits[T[done]]
@@ -488,15 +403,16 @@ def _scalar_tables(trans: TransitionSet, mode: str, tie: _Tie = None):
                 t = near[_pick_area([S[c] + A[i] + A[o] for c, i, o in map(splits.__getitem__, near)])]
             T[cell] = t
         E[cell] = es[t]
-    return T, A, tie
+    return T, A
 
 
-def _scalar_fill(trans: TransitionSet, mode: str, tie: _Tie = None):
-    """``_scalar_tables``' matching, and what both modes share: that matching
-    if no cell tied, else the first ``_Tie``.  Used up to ``SCALAR_FILL_MAX``."""
-    T, _, tie = _scalar_tables(trans, mode, tie)
+def _scalar_fill(trans: TransitionSet, mode: str):
+    """``_scalar_tables``' matching and, for ``solve_binary`` to share, the
+    matching again when no cell tied, else None.  Used up to
+    ``SCALAR_FILL_MAX``."""
+    T, A = _scalar_tables(trans, mode)
     matching = _backtrack(len(trans), T.__getitem__)
-    return matching, (matching if tie is None else tie)
+    return matching, (matching if A is None else None)
 
 
 def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
@@ -512,15 +428,12 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     vCPUs).  Above it ``_numpy_fill`` fills one half-span ``h`` at a time:
     the splits of all intervals ``(i, i + 2h)`` are chosen by energy in one
     numpy step; a step with a tie first fills the area table ``A`` that far,
-    then applies ``_pick`` to all its columns.  The tables ``E``, ``A``,
-    int32 ``T`` (``(m/2 + 1, m + 1)``), chord terms ``C``, ``S``
-    (``(m/2, m)``) and three step buffers take 80.6 MB at 2000 transitions
-    (44.6 MB without a tie, which builds no ``S``).
+    then applies ``_pick`` to all its columns.
 
     The mode enters a fill only at its first tie, so the set keeps in
-    ``_fill`` an untied fill's matching, which answers both modes, or the
-    scalar fill's ``_Tie``, where the next fill resumes; neither refers back
-    to the set, which would make a cycle.  A tied numpy fill shares nothing.
+    ``_fill`` the matching of an untied fill, which answers both modes; it
+    does not refer back to the set, which would make a cycle.  A tied fill
+    shares nothing.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -528,12 +441,11 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     n = len(trans)
     if n > MAX_TRANSITIONS:
         raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
-    shared = trans._fill
-    if shared is None or isinstance(shared, _Tie):
-        matching, shared = _scalar_fill(trans, mode, shared) if n <= SCALAR_FILL_MAX else _numpy_fill(trans, mode)
+    matching = trans._fill
+    if matching is None:
+        matching, shared = (_scalar_fill if n <= SCALAR_FILL_MAX else _numpy_fill)(trans, mode)
         object.__setattr__(trans, "_fill", shared)
-        return ChordConfiguration._of(trans, matching)
-    return ChordConfiguration._of(trans, shared)
+    return ChordConfiguration._of(trans, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +501,11 @@ def _matching_index(n: int) -> np.ndarray:
     return index
 
 
-def _near_optimal(terms: np.ndarray) -> List[int]:
+def _near_optimal(terms: np.ndarray) -> Tuple[List[int], List[float]]:
     """The columns of ``terms`` (h chord lengths per matching) whose ``fsum``
     is in the energy band of the smallest, as a scan of every ``fsum`` finds
-    them; only float sums s within the band of the smallest, s0, plus 2 err
-    are summed exactly.  With u = 2**-53, a column of exact sum R >= 0 has
+    them, and those ``fsum``s; only float sums s within the band of the
+    smallest, s0, plus 2 err are summed exactly.  With u = 2**-53, a column of exact sum R >= 0 has
     |s - R| <= gR, g = (h-1)u / (1 - (h-1)u) < hu, in any order, and
     |fsum - R| <= uR; so the smallest fsum is at most (1 + u) / (1 - g) s0,
     and as the band B(x) = x + tol max(1, x) is monotone, a column in the
@@ -607,7 +519,8 @@ def _near_optimal(terms: np.ndarray) -> List[int]:
     energies = list(map(math.fsum, terms[:, cols].T.tolist()))
     emin = min(energies)
     bound = emin + ENERGY_REL_TOL * max(1.0, emin)
-    return [r for r, e in zip(cols, energies) if e <= bound]
+    kept = [k for k, e in enumerate(energies) if e <= bound]
+    return [cols[k] for k in kept], [energies[k] for k in kept]
 
 
 def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfiguration, ...]:
@@ -622,9 +535,13 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     u = trans.u.tolist()
     lengths = np.array([2.0 * math.sin(0.5 * (y - x)) for i, x in enumerate(u) for y in u[i + 1 :: 2]])
     table = _all_matchings(n)
-    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[r].tolist())))
-            for r in _near_optimal(lengths[_matching_index(n)])]
-    best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
+    best = []
+    for r, e in zip(*_near_optimal(lengths[_matching_index(n)])):
+        cfg = ChordConfiguration._of(trans, tuple(map(tuple, table[r].tolist())))
+        cfg.energy = e  # the correctly rounded sum of the same floats: ``energy`` to the bit
+        best.append(cfg)
+    if len(best) > 1:
+        best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)
 
 

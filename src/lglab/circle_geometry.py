@@ -1,4 +1,4 @@
-"""Exact angle arithmetic and chord/cell geometry on the closed unit disk.
+"""Exact angle arithmetic and chord geometry on the closed unit disk.
 
 Angles are stored as ``q*pi + r`` with rational ``q`` and ``r``.  Every
 breakpoint manipulated by this package is of that shape (rational multiples
@@ -324,46 +324,6 @@ def segment_area(theta: Union[float, Angle]) -> float:
     """Area of the circular segment cut off by that chord: (theta - sin theta)/2."""
     t = _theta_radians(theta, "segment_area")
     return 0.5 * (t - math.sin(t))
-
-
-# ---------------------------------------------------------------------------
-# cells: closed cycles of boundary arcs and chords
-
-@dataclass(frozen=True)
-class ArcEdge:
-    """Counterclockwise arc of the unit circle from start to end."""
-
-    start: Angle
-    end: Angle
-
-
-@dataclass(frozen=True)
-class ChordEdge:
-    """Straight segment between the boundary points of start and end."""
-
-    start: Angle
-    end: Angle
-
-
-Edge = Union[ArcEdge, ChordEdge]
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A face of a chord arrangement: a closed ccw cycle of edges.
-
-    Every vertex lies on the unit circle, so closure is checked exactly on
-    the endpoint angles.
-    """
-
-    edges: Tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.edges) < 2:
-            raise DomainError("a cell needs at least two edges")
-        for e, nxt in zip(self.edges, self.edges[1:] + self.edges[:1]):
-            if e.end.normalized() != nxt.start.normalized():
-                raise DomainError("cell edge cycle is not closed")
 
 
 def index_of_angle(sorted_angles: Sequence[Angle], x: Angle) -> int:

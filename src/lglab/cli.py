@@ -208,39 +208,24 @@ def _arc_path_to(a: float, b: float) -> str:
     return f"A {_R} {_R} 0 {large} 0 {x:.3f} {y:.3f}"
 
 
-def _cell_path(cell) -> str:
-    from .circle_geometry import ArcEdge
-
-    start = cell.edges[0].start.normalized().radians
-    x0, y0 = _xy(start)
-    parts = [f"M {x0:.3f} {y0:.3f}"]
-    for edge in cell.edges:
-        a = edge.start.normalized().radians
-        b = edge.end.normalized().radians
-        if isinstance(edge, ArcEdge):
-            parts.append(_arc_path_to(a, b))
-        else:
-            x, y = _xy(b)
-            parts.append(f"L {x:.3f} {y:.3f}")
-    parts.append("Z")
-    return " ".join(parts)
-
-
 def _render_config(cfg: ChordConfiguration, opacity: float = 0.35) -> List[str]:
-    parts = []
-    for cell, label in cfg.cells():
-        if label != 1:
-            continue
-        parts.append(
-            f'<path d="{_cell_path(cell)}" fill="{_FILL}" fill-opacity="{opacity:.3f}" stroke="none"/>'
-        )
-    if cfg.n_chords == 0 and cfg.base_value == 1:
-        parts.append(
-            f'<circle cx="{_CX}" cy="{_CY}" r="{_R}" fill="{_FILL}" fill-opacity="{opacity:.3f}"/>'
-        )
+    """The label-1 region as one even-odd path, then the chords.  The path
+    has the segment on the arc side of every chord and, when the base value
+    is 1, the disk as two half-disks.  Segments of non-crossing chords nest,
+    so a point is filled when the base value plus the number of segments
+    holding it is odd: the label ``evaluate_points`` gives it."""
+    u = cfg.transitions.u.tolist()
+    spans = [(u[i], u[j]) for i, j in cfg.matching] + [(0.0, math.pi), (math.pi, 0.0)] * cfg.base_value
+    d = []
+    for a, b in spans:
+        x, y = _xy(a)
+        d.append(f"M {x:.3f} {y:.3f} {_arc_path_to(a, b)} Z")
+    parts = [
+        f'<path d="{" ".join(d)}" fill="{_FILL}" fill-opacity="{opacity:.3f}" fill-rule="evenodd" stroke="none"/>'
+    ]
     for i, j in cfg.matching:
-        xa, ya = _xy(cfg.transitions[i].angle.normalized().radians)
-        xb, yb = _xy(cfg.transitions[j].angle.normalized().radians)
+        xa, ya = _xy(u[i])
+        xb, yb = _xy(u[j])
         parts.append(
             f'<line x1="{xa:.3f}" y1="{ya:.3f}" x2="{xb:.3f}" y2="{yb:.3f}" '
             f'stroke="{_CHORD_COLOR}" stroke-width="3"/>'

@@ -12,10 +12,6 @@ from lglab.chord_solver import ENERGY_REL_TOL, ChordConfiguration, _all_matching
 from lglab.circle_geometry import (
     Angle,
     Arc,
-    ArcEdge,
-    Cell,
-    ChordEdge,
-    DomainError,
     ccw_measure,
     chord_length,
     segment_area,
@@ -91,63 +87,23 @@ def random_arc_union(
 
 
 # ---------------------------------------------------------------------------
-# cell areas: an independent oracle for ``ChordConfiguration.label_area``
+# segment parity: an independent oracle for ``ChordConfiguration.label_area``
 
-def _seg_intersect_proper(p1, p2, q1, q2) -> bool:
-    """Do open segments (p1,p2) and (q1,q2) cross properly?"""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4
-
-
-def _check_simple(cell: Cell) -> None:
-    chords = [e for e in cell.edges if isinstance(e, ChordEdge)]
-    for i in range(len(chords)):
-        a = chords[i]
-        pa = (a.start.point(), a.end.point())
-        for b in chords[i + 1:]:
-            pb = (b.start.point(), b.end.point())
-            if _seg_intersect_proper(pa[0], pa[1], pb[0], pb[1]):
-                raise DomainError("self-intersecting cell: crossing chords")
-    arcs = [e for e in cell.edges if isinstance(e, ArcEdge)]
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            a, b = arcs[i], arcs[j]
-            ma, mb = ccw_measure(a.start, a.end), ccw_measure(b.start, b.end)
-            # open angular intervals must not overlap
-            for probe_base, probe_m, other_start, other_m in (
-                (a.start, ma, b.start, mb),
-                (b.start, mb, a.start, ma),
-            ):
-                pos = ccw_measure(other_start, probe_base)
-                mid = (probe_base + probe_m * Fraction(1, 2)).normalized()
-                posm = ccw_measure(other_start, mid)
-                if (pos - other_m).sign() < 0 and pos.sign() > 0:
-                    raise DomainError("self-intersecting cell: overlapping arcs")
-                if (posm - other_m).sign() < 0 and posm.sign() > 0:
-                    raise DomainError("self-intersecting cell: overlapping arcs")
-
-
-def cell_area(cell: Cell) -> float:
-    """Area enclosed by the cell: vertex shoelace plus a circular segment
-    correction for every arc edge.  Raises DomainError for self-intersecting
-    edge cycles."""
-    _check_simple(cell)
-    verts = [e.start.point() for e in cell.edges]
-    shoelace = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
-        shoelace += x0 * y1 - y0 * x1
-    area = 0.5 * shoelace
-    for e in cell.edges:
-        if isinstance(e, ArcEdge):
-            area += segment_area(ccw_measure(e.start, e.end))
-    return area
+def segment_parity_area(cfg: ChordConfiguration) -> float:
+    """Area of the label-1 region from the segments on the arc sides of the
+    chords.  Segments of non-crossing chords nest like their index
+    intervals, and a point's label is the base value flipped once per
+    segment that holds it, so the points of odd depth have the alternating
+    sum of segment areas by nesting depth."""
+    u = cfg.transitions.u.tolist()
+    terms, open_ends = [], []
+    for i, j in cfg.matching:  # in index order, so a chord comes after those holding it
+        while open_ends and open_ends[-1] < i:
+            open_ends.pop()
+        terms.append((-1) ** len(open_ends) * segment_area(u[j] - u[i]))
+        open_ends.append(j)
+    odd = math.fsum(terms)
+    return math.pi - odd if cfg.base_value else odd
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from lglab.chord_solver import (
 )
 from lglab.analysis import cap_config, cut_config, random_binary_data
 from lglab.level_stack import disk_samples
-from helpers import cell_area
+from helpers import segment_parity_area
 
 PCB = PiecewiseConstantBoundary
 
@@ -191,10 +191,14 @@ class TestEnergyAndArea:
         assert a + b == pytest.approx(math.pi, abs=1e-12)
 
     def test_cells_partition_disk(self, caps):
+        # the label-1 region and that of the flipped data tile the disk
         for mode in ("minimal", "maximal"):
             cfg = solve_binary(caps, mode)
-            total = math.fsum(cell_area(c) for c, _ in cfg.cells())
-            assert total == pytest.approx(math.pi, abs=1e-10)
+            flipped = [Transition(t.angle, not t.rising) for t in cfg.transitions]
+            other = ChordConfiguration(flipped, cfg.matching, 1 - cfg.base_value)
+            for a, b in ((cfg, other), (other, cfg)):
+                total = math.fsum((segment_parity_area(a), b.label_area))
+                assert total == pytest.approx(math.pi, abs=1e-10)
 
     def test_area_against_cell_decomposition(self):
         rng = random.Random(410)
@@ -202,9 +206,7 @@ class TestEnergyAndArea:
             data = random_binary_data(rng, max_pairs=4)
             for mode in ("minimal", "maximal"):
                 cfg = solve_binary(data, mode)
-                by_cells = math.fsum(
-                    cell_area(c) for c, label in cfg.cells() if label == 1
-                )
+                by_cells = segment_parity_area(cfg)
                 assert cfg.label_area == pytest.approx(by_cells, abs=1e-9)
 
 

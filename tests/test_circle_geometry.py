@@ -9,16 +9,13 @@ from lglab import circle_geometry
 from lglab.circle_geometry import (
     Angle,
     Arc,
-    ArcEdge,
-    Cell,
-    ChordEdge,
     DomainError,
     ccw_measure,
     chord_length,
     index_of_angle,
     segment_area,
 )
-from helpers import arc_contains, cell_area
+from helpers import arc_contains
 
 
 class TestAngle:
@@ -228,36 +225,6 @@ def test_segment_area_values():
     for t in (0.3, 1.1, 2.9):
         assert segment_area(t) + segment_area(math.tau - t) == pytest.approx(
             math.pi, abs=1e-12
-        )
-
-
-def _half_disk_cell():
-    a0 = Angle.of_pi(0)
-    a1 = Angle.of_pi(1)
-    return Cell((ArcEdge(a0, a1), ChordEdge(a1, a0)))
-
-
-def _quarter_cell():
-    a0 = Angle.of_pi(0)
-    a1 = Angle.of_pi(Fraction(1, 2))
-    return Cell((ArcEdge(a0, a1), ChordEdge(a1, a0)))
-
-
-class TestCell:
-    def test_closure_validated(self):
-        a0, a1, a2 = Angle.of_pi(0), Angle.of_pi(Fraction(1, 2)), Angle.of_pi(1)
-        with pytest.raises(DomainError):
-            Cell((ArcEdge(a0, a1), ChordEdge(a2, a0)))
-        with pytest.raises(DomainError):
-            Cell((ArcEdge(a0, a1),))
-
-    def test_half_disk_area(self):
-        assert cell_area(_half_disk_cell()) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_quarter_cell_area(self):
-        # circular segment over a quarter arc
-        assert cell_area(_quarter_cell()) == pytest.approx(
-            segment_area(math.pi / 2), abs=1e-12
         )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import contextlib
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 
 from lglab import __version__, circle_geometry
 from lglab.circle_geometry import Angle
-from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
-from lglab.cli import main
+from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
+from lglab.chord_solver import solve_binary
+from lglab.cli import _xy, main
+from lglab.level_stack import solve_general
 
 
 def run(argv):
@@ -201,6 +204,20 @@ class TestSolve:
         assert rep["energy"] == format(float(rep["energy"]), ".17g")
 
 
+_RENDER_INPUTS = {
+    "caps": PiecewiseConstantBoundary(
+        [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)], [1.0, 0.0, 1.0, 0.0]
+    ).to_json_dict(),
+    "gn3": build_gn(3).to_json_dict(),
+    "one": {"breakpoints": [], "values": ["1"]},
+    "stack": {"breakpoints": [["0", "0"], ["1/2", "0"], ["1", "0"]], "values": ["0", "0.5", "1"]},
+}
+
+
+def _pt(angle_rad):
+    return "{:.3f} {:.3f}".format(*_xy(angle_rad))
+
+
 class TestRender:
     def test_svg_structure(self, caps_path, tmp_path):
         svg = tmp_path / "out.svg"
@@ -223,6 +240,33 @@ class TestRender:
         svg = tmp_path / "m.svg"
         assert run(["solve", str(p), "--render", str(svg)])[0] == 0
         assert "fill-opacity" in svg.read_text()
+
+    @pytest.mark.parametrize("name", sorted(_RENDER_INPUTS))
+    def test_one_evenodd_path_per_configuration(self, name, tmp_path):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(_RENDER_INPUTS[name]))
+        data = PiecewiseConstantBoundary.from_json_dict(_RENDER_INPUTS[name])
+        configs = [solve_binary(data)] if data.is_binary else [sl.config for sl in solve_general(data).slices]
+        svg = tmp_path / "out.svg"
+        code, out, err = run(["solve", str(p), "--render", str(svg)])
+        assert (code, err) == (0, "")
+        assert run(["solve", str(p)]) == (code, out, err)  # rendering leaves the report alone
+        body = svg.read_text()
+        paths = re.findall(r'<path d="([^"]*)" [^>]*fill-rule="evenodd"[^>]*/>', body)
+        assert len(paths) == len(configs) == body.count("fill-rule=")
+        lines = []
+        for d, cfg in zip(paths, configs):
+            u = cfg.transitions.u
+            spans = [(u[i], u[j]) for i, j in cfg.matching] + [(0.0, math.pi), (math.pi, 0.0)] * cfg.base_value
+            subpaths = re.findall(r"M (\S+ \S+) A 450 450 0 [01] 0 (\S+ \S+) Z", d)
+            assert len(subpaths) == d.count("M ") == len(cfg.matching) + 2 * cfg.base_value
+            assert subpaths == [(_pt(a), _pt(b)) for a, b in spans]
+            for i, j in cfg.matching:  # the chords as drawn before the fill was one path
+                xa, ya = _xy(cfg.transitions[i].angle.normalized().radians)
+                xb, yb = _xy(cfg.transitions[j].angle.normalized().radians)
+                lines.append(f'<line x1="{xa:.3f}" y1="{ya:.3f}" x2="{xb:.3f}" y2="{yb:.3f}" '
+                             f'stroke="#333333" stroke-width="3"/>')
+        assert re.findall(r"<line [^>]*/>", body) == lines
 
 
 class TestVerify:

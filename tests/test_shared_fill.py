@@ -2,10 +2,10 @@
 
 The mode enters a fill only at its first tie.  ``solve_binary`` keeps on the
 data's ``TransitionSet`` the matching of an untied fill, which answers both
-modes, or the scalar fill's state at its first tied cell, from which the
-next fill of either mode resumes.  Whatever the order of the solves, each
-must return what a fresh data object gives and what the dense reference
-fill gives, to the bit; and the kept state must not tie the set to itself.
+modes; after a tied fill each solve fills again.  Whatever the order of the
+solves, each must return what a fresh data object gives and what the dense
+reference fill gives, to the bit; and the kept matching must not tie the
+set to itself.
 """
 
 import gc
@@ -63,15 +63,14 @@ def test_solve_orders_agree_on_numpy_sizes(m, q, seed):
 
 
 def _spy(monkeypatch):
-    """Record every fill as its name and the arguments after the mode (the
-    scalar fill's ``_Tie``, or None)."""
+    """Record every fill by its name."""
     calls = []
     for name in ("scalar", "numpy"):
         fill = getattr(chord_solver, f"_{name}_fill")
 
-        def spy(trans, mode, *tie, fill=fill, name=name):
-            calls.append((name, *tie))
-            return fill(trans, mode, *tie)
+        def spy(trans, mode, fill=fill, name=name):
+            calls.append(name)
+            return fill(trans, mode)
 
         monkeypatch.setattr(chord_solver, f"_{name}_fill", spy)
     return calls
@@ -79,21 +78,21 @@ def _spy(monkeypatch):
 
 def _tied_positions(data, mode):
     """Positions in ``_schedule(n)`` of the cells where the dense fill sees
-    more than one near-minimal split, with its split offset and area table
-    (flat, as the scalar fill lays them out)."""
+    more than one near-minimal split, with its area table (flat, as the
+    scalar fill lays it out)."""
     n = len(transitions_of(data)[0])
     steps = {}
     _dense_solve(data, mode, steps)
-    tied, split, area = set(), {}, {}
+    tied, area = set(), {}
     for h, (e, a) in steps.items():
         near = chord_solver._near_min(e)
         t = _pick(e, a)
         for i in range(e.shape[1]):
             cell = h * (n + 1) + i
-            split[cell], area[cell] = int(t[i]), a[t[i], i]
+            area[cell] = a[t[i], i]
             if near[:, i].sum() > 1:
                 tied.add(cell)
-    return [p for p, (cell, _) in enumerate(_schedule(n)) if cell in tied], split, area
+    return [p for p, (cell, _) in enumerate(_schedule(n)) if cell in tied], area
 
 
 @pytest.mark.parametrize("first", MODES)
@@ -106,53 +105,26 @@ def test_untied_second_solve_calls_no_fill(monkeypatch, first):
         assert calls == []
 
 
-class _Walked(tuple):
-    """A schedule that records where each slice of it starts."""
+def _refills_in_full(monkeypatch, data, fill):
+    ref = {mode: _dense_solve(data, mode) for mode in MODES}
+    calls = _spy(monkeypatch)
+    for mode in MODES + MODES:
+        _same(solve_binary(data, mode), ref[mode])
+    assert calls == [fill] * 4
+    assert transitions_of(data)[0]._fill is None
+    return ref
 
-    starts = []
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            self.starts.append(k.start)
-        return tuple.__getitem__(self, k)
-
-
-@pytest.mark.parametrize("first", MODES)
-def test_tied_scalar_solve_resumes_at_the_first_tied_cell(monkeypatch, first):
+def test_tied_scalar_solve_refills_in_full(monkeypatch):
     for data in [_fresh(OCTAGON)] + [_multi_tie(ks) for ks in MULTI_TIE]:
-        n = len(transitions_of(data)[0])
-        cells = _schedule(n)
-        tied, split, _ = _tied_positions(data, first)
-        calls = _spy(monkeypatch)
-        solve_binary(data, first)
-        second = MODES[first == "minimal"]
-        monkeypatch.setattr(chord_solver, "_schedule", lambda n: _Walked(_schedule(n)))
-        _Walked.starts.clear()
-        _same(solve_binary(data, second), _dense_solve(data, second))
-        assert calls[0] == ("scalar", None) and len(calls) == 2 and calls[1][0] == "scalar"
-        tie = calls[1][1]
-        assert tie.pos == tied[0] == _tied_positions(data, second)[0][0]
-        assert _Walked.starts[0] == tie.pos  # the walk over the cells starts there
-        # before that cell the kept splits are the dense fill's, and after it empty
-        for p, (cell, splits) in enumerate(cells):
-            if p < tie.pos:
-                assert tie.T[cell] == split[cell]
-                c, i, o = splits[tie.T[cell]]
-                assert tie.E[cell] == tie.C[c] + tie.E[i] + tie.E[o]
-            else:
-                assert tie.T[cell] == 0 and tie.E[cell] == 0.0
+        assert _tied_positions(data, "minimal")[0]  # a tie
+        _refills_in_full(monkeypatch, data, "scalar")
         monkeypatch.undo()
 
 
 def test_tied_numpy_solve_refills_in_full(monkeypatch):
-    data = _numpy_sized(24, 12, 1)
-    ref = {mode: _dense_solve(data, mode) for mode in MODES}
+    ref = _refills_in_full(monkeypatch, _numpy_sized(24, 12, 1), "numpy")
     assert ref["minimal"].matching != ref["maximal"].matching  # a tie
-    calls = _spy(monkeypatch)
-    for mode in MODES + MODES:
-        _same(solve_binary(data, mode), ref[mode])
-    assert calls == [("numpy",)] * 4
-    assert transitions_of(data)[0]._fill is None
 
 
 @pytest.mark.parametrize("make", [lambda: UNTIED[0], lambda: OCTAGON, lambda: _numpy_sized(24, 12, 1),
@@ -173,9 +145,8 @@ def test_kept_fill_makes_no_reference_cycle(make):
 
 
 # White box: the scalar fill catches its area table up at each tie on every
-# cell chosen since the last, the tied cells included, from cell 0 also when
-# it resumes.  Every entry it wrote must equal the dense fill's area, and
-# none past its last tie may be written.
+# cell chosen since the last, the tied cells included.  Every entry it wrote
+# must equal the dense fill's area, and none past its last tie may be written.
 
 @pytest.mark.parametrize("mode", MODES)
 def test_scalar_area_table_is_the_dense_one_at_every_tie(mode):
@@ -183,17 +154,13 @@ def test_scalar_area_table_is_the_dense_one_at_every_tie(mode):
     for _, make in SMALL_CASES:
         data = make()
         trans = transitions_of(data)[0]
-        cells = _schedule(len(trans))
-        tied, _, area = _tied_positions(data, mode)
-        other = MODES[mode == "minimal"]
-        resume = chord_solver._scalar_tables(trans, other)[2]
-        for tie in (None, resume):
-            _, A, _ = chord_solver._scalar_tables(trans, mode, tie)
-            if not tied:
-                assert A is None and resume is None
-                continue
-            for p, (cell, _) in enumerate(cells):
-                want = area[cell].hex() if p < tied[-1] else (0.0).hex()
-                assert A[cell].hex() == want, (p, tied)
+        tied, area = _tied_positions(data, mode)
+        _, A = chord_solver._scalar_tables(trans, mode)
+        if not tied:
+            assert A is None
+            continue
+        for p, (cell, _) in enumerate(_schedule(len(trans))):
+            want = area[cell].hex() if p < tied[-1] else (0.0).hex()
+            assert A[cell].hex() == want, (p, tied)
         multi += len(tied) > 1
     assert multi >= 6  # solves whose later ties read cells caught up at an earlier one
