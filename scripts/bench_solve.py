@@ -25,9 +25,15 @@ M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
 DP takes its numpy fill and enumeration is refused, so only the two solves
 run).  The call is chosen by the instance name.
 
+The first call in each process is cold: it pays first-use costs such as
+numpy's call caches and the matching tables.  The process then builds the
+instance afresh, so no fill kept on the first data object is reused, and
+times the same call again, warm.
+
 The output file records, per tree and instance, the median and the
-interquartile range of the solve time and of the peak RSS, the raw runs, the
-host, and each tree's ``src/`` line count.
+interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
+and of the peak RSS, the raw runs, the host, and each tree's ``src/`` line
+count.
 """
 
 from __future__ import annotations
@@ -72,37 +78,51 @@ def build(name: str):
 
 
 def child(name: str) -> None:
-    """Build ``name``, run its call once, print the time and memory as JSON
-    with a check value: the energy of the solution or of the first optimum,
-    and for a load the ``fsum`` of the transition radians."""
+    """Build ``name``, run its call once cold, then once more on a freshly
+    built data object, and print both times and the cold call's memory as
+    JSON with a check value: the energy of the solution or of the first
+    optimum, and for a load the ``fsum`` of the transition radians."""
     import math
 
     from lglab.boundary_data import PiecewiseConstantBoundary
     from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
 
-    data = build(name)
     load = name.startswith("load")
-    doc = json.loads(json.dumps(data.to_json_dict())) if load else None
+
+    def fresh():
+        """A new data object, so no fill kept on an earlier one is reused,
+        and for a load its JSON document."""
+        data = build(name)
+        return data, json.loads(json.dumps(data.to_json_dict())) if load else None
+
+    def call(data, doc):
+        if load:
+            return transitions_of(PiecewiseConstantBoundary.from_json_dict(doc))[0]
+        if name.startswith("oracle"):
+            # above its cap enumeration is refused, and the minimal solve is checked
+            enum = enumerate_optimal(data)[0] if len(data.breakpoints) <= ENUMERATION_CAP else None
+            cfg = solve_binary(data, "minimal")
+            solve_binary(data, "maximal")
+            return enum or cfg
+        return enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
+
+    args = fresh()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t = time.perf_counter()
-    if load:
-        trans = transitions_of(PiecewiseConstantBoundary.from_json_dict(doc))[0]
-    elif name.startswith("oracle"):
-        # above its cap enumeration is refused, and the minimal solve is checked
-        enum = enumerate_optimal(data)[0] if len(data.breakpoints) <= ENUMERATION_CAP else None
-        cfg = solve_binary(data, "minimal")
-        solve_binary(data, "maximal")
-        cfg = enum or cfg
-    else:
-        cfg = enumerate_optimal(data)[0] if name.startswith("enum") else solve_binary(data)
+    out = call(*args)
     solve_s = time.perf_counter() - t
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    args = fresh()
+    t = time.perf_counter()
+    call(*args)
+    warm_s = time.perf_counter() - t
     print(json.dumps({
         "solve_s": solve_s,
+        "warm_s": warm_s,
         "peak_rss_mb": peak / 1024.0,
         "solve_rss_mb": (peak - before) / 1024.0,
-        "transitions": len(trans if load else cfg.transitions),
-        "energy": (math.fsum(trans.u) if load else cfg.energy).hex(),
+        "transitions": len(out if load else out.transitions),
+        "energy": (math.fsum(out.u) if load else out.energy).hex(),
     }))
 
 
@@ -166,11 +186,11 @@ def main(argv=None) -> int:
             for label, src in order:
                 res = run_child(Path(src), n)
                 runs[label][n].append(res)
-                print(f"repeat {r} {n} {label}: {res['solve_s']:.3f} s, "
+                print(f"repeat {r} {n} {label}: {res['solve_s']:.3f} s, warm {res['warm_s']:.3f} s, "
                       f"{res['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
 
     report = {
-        "benchmark": "solve_binary (minimal mode), enumerate_optimal or a data path, one call per fresh process",
+        "benchmark": "solve_binary (minimal mode), enumerate_optimal or a data path, one cold and one warm call per fresh process",
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),
@@ -184,9 +204,11 @@ def main(argv=None) -> int:
                 n: {
                     "transitions": rs[0]["transitions"],
                     "solve_s": summary([x["solve_s"] for x in rs]),
+                    "warm_s": summary([x["warm_s"] for x in rs]),
                     "peak_rss_mb": summary([x["peak_rss_mb"] for x in rs]),
                     "solve_rss_mb": summary([x["solve_rss_mb"] for x in rs]),
                     "runs_solve_s": [round(x["solve_s"], 4) for x in rs],
+                    "runs_warm_s": [round(x["warm_s"], 4) for x in rs],
                     "energy": sorted({x["energy"] for x in rs}),
                 }
                 for n, rs in runs[label].items()

@@ -2,11 +2,11 @@
 
 Everything here reduces to three ingredients: closed-form energies of the
 Cantor-type boundary families, seeded Monte Carlo estimates (boundary
-traces, Crofton perimeter lengths, one L1 cross-check), and exact
-containment and crossing tests of chords, read off the circular order of
-their endpoints (``chord_solver.endpoint_ranks``).  Each driver returns a
-ScenarioReport whose verdicts carry the tolerance they were judged against,
-so a report is a self-contained pass/fail record.
+traces, one L1 cross-check), and exact containment of solution regions,
+``chord_solver.region_subset``, read off the circular order of the chord
+endpoints.  Each driver returns a ScenarioReport whose verdicts carry the
+tolerance they were judged against, so a report is a self-contained
+pass/fail record.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .boundary_data import (
 from .chord_solver import (
     BinaryDiskFunction,
     ChordConfiguration,
-    endpoint_ranks,
     enumerate_optimal,
     region_subset,
     select_optimal,
@@ -589,127 +588,22 @@ def monotone_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# min/max and perimeters
+# comparison principle
 
-def _unique_chords(*configs: ChordConfiguration):
-    """Deduplicated chords across configurations, with their endpoint ranks
-    in the merged order (see ``endpoint_ranks``) and endpoint points."""
-    seen = set()
-    out = []
-    for cfg, ranks in zip(configs, endpoint_ranks(*configs)):
-        for (i, j), (p, q) in zip(cfg.matching, cfg.chord_segments()):
-            key = (ranks[i], ranks[j])
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key, p, q))
-    return out
+def minmax_check(f: PiecewiseConstantBoundary, g: PiecewiseConstantBoundary) -> ScenarioReport:
+    """Comparison principle for ordered binary data: if f <= g, then
+    u_min(f) lies inside u_min(g) and u_max(f) inside u_max(g).
 
-
-def _chord_pieces(chords):
-    """Cut every chord where it properly crosses another; return (midpoint,
-    length, unit normal) per piece.  Two chords cross exactly when their
-    endpoint ranks strictly interleave; floats only place the crossing."""
-    pieces = []
-    for (a, b), p, q in chords:
-        d = q - p
-        ts = []
-        for (c, e), pp, qq in chords:
-            if a < c < b < e or c < a < e < b:
-                f, w = qq - pp, pp - p
-                ts.append((w[0] * f[1] - w[1] * f[0]) / (d[0] * f[1] - d[1] * f[0]))
-        knots = [0.0] + sorted(ts) + [1.0]
-        length = float(np.hypot(*d))
-        normal = np.array([-d[1], d[0]]) / length
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            mid = p + 0.5 * (lo + hi) * d
-            pieces.append((mid, (hi - lo) * length, normal))
-    return pieces
-
-
-def _piece_perimeters(u: ChordConfiguration, v: ChordConfiguration):
-    """Relative perimeters of intersection and union regions, by classifying
-    each chord piece from labels just off its two sides."""
-    delta = 1e-9
-    pieces = _chord_pieces(_unique_chords(u, v))
-    if not pieces:
-        return 0.0, 0.0, []
-    mids = np.array([m for m, _, _ in pieces])
-    normals = np.array([n for _, _, n in pieces])
-    lengths = np.array([l for _, l, _ in pieces])
-    up = u.evaluate_points(mids + delta * normals) == 1
-    um = u.evaluate_points(mids - delta * normals) == 1
-    vp = v.evaluate_points(mids + delta * normals) == 1
-    vm = v.evaluate_points(mids - delta * normals) == 1
-    in_int = (up & vp) != (um & vm)
-    in_uni = (up | vp) != (um | vm)
-    p_int = math.fsum(lengths[in_int])
-    p_uni = math.fsum(lengths[in_uni])
-    segs_int = [(pieces[i][0], pieces[i][1], pieces[i][2]) for i in np.flatnonzero(in_int)]
-    segs_uni = [(pieces[i][0], pieces[i][1], pieces[i][2]) for i in np.flatnonzero(in_uni)]
-    return p_int, p_uni, (segs_int, segs_uni, pieces)
-
-
-def crofton_length(segments, samples: int = 20000, seed: int = DEFAULT_SEED) -> Tuple[float, float]:
-    """Monte Carlo length of a union of segments from random line crossings."""
-    if not segments:
-        return 0.0, 0.0
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3779B9]))
-    theta = math.pi * rng.random(samples)
-    p = 2.0 * rng.random(samples) - 1.0
-    d = np.column_stack([np.cos(theta), np.sin(theta)])
-    counts = np.zeros(samples)
-    for mid, length, normal in segments:
-        tangent = np.array([-normal[1], normal[0]])
-        a = mid - 0.5 * length * tangent
-        b = mid + 0.5 * length * tangent
-        sa = d @ a - p
-        sb = d @ b - p
-        counts += (sa * sb) < 0.0
-    val = math.pi * float(np.mean(counts))
-    err = math.pi * float(np.std(counts)) / math.sqrt(samples)
-    return val, err
-
-
-def minmax_check(
-    f: PiecewiseConstantBoundary,
-    g: PiecewiseConstantBoundary,
-    samples: int = 20000,
-    seed: int = DEFAULT_SEED,
-) -> ScenarioReport:
-    """Lattice behavior of solutions under ordered data.
-
-    For every optimal pair the intersection and union regions cannot out-
-    perimeter the solutions they mimic, sub-additivity holds exactly, and a
-    Crofton Monte Carlo estimate independently reproduces each perimeter.
+    Each verdict is one exact ``region_subset`` test of the two solutions.
     """
     if not (f.is_binary and g.is_binary):
         raise DomainError("min/max check needs binary data")
     if not f.is_leq(g):
         raise DomainError("pointwise order f <= g violated")
-    rep = ScenarioReport("minmax", seed=seed)
-    fu = enumerate_optimal(f)
-    gv = enumerate_optimal(g)
-    rep.details["pairs"] = len(fu) * len(gv)
-    slack = 1e-9
-    worst_int = worst_uni = worst_sub = -math.inf
-    worst_mc = 0.0
-    for u in fu:
-        for v in gv:
-            p_int, p_uni, extras = _piece_perimeters(u, v)
-            worst_int = max(worst_int, p_int - u.energy)
-            worst_uni = max(worst_uni, p_uni - v.energy)
-            worst_sub = max(worst_sub, p_int + p_uni - u.energy - v.energy)
-            if extras:
-                segs_int, segs_uni, _ = extras
-                for exact, segs in ((p_int, segs_int), (p_uni, segs_uni)):
-                    mc, err = crofton_length(segs, samples=samples, seed=seed)
-                    tol = max(0.05 * exact, 0.02)
-                    worst_mc = max(worst_mc, abs(mc - exact) - tol)
-    rep.add("intersection perimeter <= energy(u)", worst_int, slack, worst_int <= slack)
-    rep.add("union perimeter <= energy(v)", worst_uni, slack, worst_uni <= slack)
-    rep.add("submodularity of perimeters", worst_sub, slack, worst_sub <= slack)
-    rep.add("Crofton estimate within tolerance", worst_mc, 0.0, worst_mc <= 0.0)
+    rep = ScenarioReport("minmax")
+    for mode in ("minimal", "maximal"):
+        ok = region_subset(solve_binary(f, mode), solve_binary(g, mode))
+        rep.add(f"{mode} solution of f inside that of g", ok, None, ok)
     return rep
 
 

@@ -169,11 +169,6 @@ class ChordConfiguration:
             terms.append(s if not self.transitions[i].rising else -s)
         return 0.5 * math.fsum(terms)
 
-    def chord_segments(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Chord endpoints as planar points, aligned with ``matching``."""
-        pts = [np.array(t.angle.point()) for t in self.transitions]
-        return [(pts[i], pts[j]) for i, j in self.matching]
-
     # -- pointwise labels ------------------------------------------------
     @cached_property
     def _chord_tests(self):

@@ -40,4 +40,4 @@ def test_child_prints_the_checked_energy(name):
         want = solve_binary(data).energy
     assert out["energy"] == want.hex()
     assert out["transitions"] == len(trans)
-    assert out["solve_s"] > 0 and out["peak_rss_mb"] > 0
+    assert out["solve_s"] > 0 and out["warm_s"] > 0 and out["peak_rss_mb"] > 0
