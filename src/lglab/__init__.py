@@ -27,7 +27,6 @@ from .boundary_data import (
     quantize,
 )
 from .chord_solver import (
-    BinaryDiskFunction,
     ChordConfiguration,
     Transition,
     TransitionSet,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Angle",
     "Arc",
-    "BinaryDiskFunction",
     "CantorStage",
     "ChordConfiguration",
     "DEFAULT_SEED",

@@ -30,10 +30,10 @@ from .boundary_data import (
     eta_minus,
     eta_plus,
     kept_arc_measure,
+    opposite_caps,
     quantize,
 )
 from .chord_solver import (
-    BinaryDiskFunction,
     ChordConfiguration,
     enumerate_optimal,
     region_subset,
@@ -41,7 +41,7 @@ from .chord_solver import (
     solve_binary,
     transitions_of,
 )
-from .level_stack import DEFAULT_SEED, _as_callable, l1_distance
+from .level_stack import DEFAULT_SEED, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
 
@@ -99,6 +99,9 @@ def trace(
 ) -> TraceEstimate:
     """Boundary trace of u at angle x, estimated over shrinking half-balls.
 
+    u is a disk function: a callable on an ``(n, 2)`` float array of points
+    strictly inside the disk that returns ``n`` values.
+
     Averages u over B(x, r_k) cap Omega for r_k = r0 * 2^-k; the limit is
     the finest-level average and the residual is the gap to the level above
     it.  Starvation (fewer than 32 kept samples at some level) is flagged
@@ -116,7 +119,6 @@ def trace(
         raise DomainError(f"need at least 16 samples per radius, got {samples}")
     xrad = x.radians if isinstance(x, Angle) else float(x)
     center = np.array([math.cos(xrad), math.sin(xrad)])
-    fn = _as_callable(u)
     salt = int(np.float64(xrad).view(np.uint64))
     radii, averages, stderrs = [], [], []
     starved = False
@@ -130,7 +132,7 @@ def trace(
             phi = 2.0 * math.pi * rng.random(samples)
             pts = center + (r * np.sqrt(w))[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
             inside = np.hypot(pts[:, 0], pts[:, 1]) < 1.0
-            kept_vals.append(np.asarray(fn(pts[inside]), dtype=float))
+            kept_vals.append(np.asarray(u(pts[inside]), dtype=float))
             kept += int(np.count_nonzero(inside))
             if kept >= samples // 2:
                 break
@@ -247,9 +249,6 @@ class VLimitFunction:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         vals = np.ones(len(pts))
         rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) if len(pts) else 0.0
         for ell in range(1, self.max_stage + 1):
@@ -257,7 +256,7 @@ class VLimitFunction:
                 break
             for ux, uy, cos_half in self._stage_tests(ell):
                 vals[pts[:, 0] * ux + pts[:, 1] * uy >= cos_half] = 0.0
-        return vals[0] if single else vals
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def cantor_nonexistence_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioRe
     rep.details["label_areas"] = areas
     shrink = all(b < a for a, b in zip(areas, areas[1:])) and areas[-1] < 2.0 ** (-n_max)
     rep.add("L1 distance to zero vanishes", areas[-1], 2.0 ** (-n_max), shrink)
-    zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
+    zero = lambda pts: np.zeros(len(pts))
     pts = _cantor_endpoint_angles(3)[:10]
     worst = 0.0
     for ang in pts:
@@ -413,8 +412,8 @@ def nonlin_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioReport:
     rep.add("consecutive L1 gaps vanish", gaps[-1] if gaps else 0.0, 1e-6, ok)
     if n_max >= 2:
         est = l1_distance(
-            BinaryDiskFunction(cut_config(1)),
-            BinaryDiskFunction(cut_config(2)),
+            cut_config(1).evaluate_points,
+            cut_config(2).evaluate_points,
             samples=200_000,
             seed=seed,
         )
@@ -461,10 +460,8 @@ def nonlocality_demo(k: int, m: int, seed: int = DEFAULT_SEED) -> ScenarioReport
     n_top = min(k + 8, 14)
     energies, measures = [], []
     for n in range(k, n_top + 1):
-        count = 2 ** (n - k)
-        a = kept_arc_measure(n)
-        energies.append(count * 2.0 * math.sin(float(a) / 2.0))
-        measures.append(count * a)
+        energies.append(u_energy(n) / 2 ** k)
+        measures.append(2 ** (n - k) * kept_arc_measure(n))
     rep.details["energies"] = energies
     rep.details["restricted_measures"] = [float(x) for x in measures]
     dec = all(b < a for a, b in zip(energies, energies[1:]))
@@ -488,7 +485,7 @@ def nonlocality_demo(k: int, m: int, seed: int = DEFAULT_SEED) -> ScenarioReport
         want = _consecutive_config(data)
         ok = got.matching == want.matching
         rep.add(f"solver spans each kept arc at stage {n}", ok, None, ok)
-    zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
+    zero = lambda pts: np.zeros(len(pts))
     window = cantor_stage(k).kept[m - 1]
     ang = window.start.normalized().radians
     est = trace(zero, ang, seed=seed)
@@ -645,14 +642,7 @@ def oracle_check(
                 mismatches += 1
             elif dp.energy != ref.energy:
                 energy_exact = False
-    bps = [
-        Angle.of_pi(Fraction(1, 4)),
-        Angle.of_pi(Fraction(3, 4)),
-        Angle.of_pi(Fraction(5, 4)),
-        Angle.of_pi(Fraction(7, 4)),
-    ]
-    tie_data = PiecewiseConstantBoundary(bps, [1.0, 0.0, 1.0, 0.0])
-    named = [tie_data, build_fn(1), build_fn(2), build_gn(1), build_gn(2)]
+    named = [opposite_caps(), build_fn(1), build_fn(2), build_gn(1), build_gn(2)]
     for data in named:
         for mode in ("minimal", "maximal"):
             dp = solve_binary(data, mode)

@@ -87,16 +87,9 @@ class PiecewiseConstantBoundary:
         outside: float = 0.0,
     ) -> "PiecewiseConstantBoundary":
         """Indicator-style data: ``inside`` on the given disjoint arcs."""
-        arcs = sorted(arcs, key=lambda a: a.start)
+        arcs = _sorted_disjoint(arcs, "from_arcs")
         if not arcs:
             return cls.constant(outside)
-        for a in arcs:
-            if a.measure.sign() <= 0:
-                raise DomainError("from_arcs: empty arc")
-        for a, b in zip(arcs, arcs[1:] + arcs[:1]):
-            # each arc must end strictly before the next one starts
-            if len(arcs) > 1 and (ccw_measure(a.start, b.start) - a.measure).sign() <= 0:
-                raise DomainError("from_arcs: arcs must be pairwise disjoint")
         bps: List[Angle] = []
         vals: List[float] = []
         for a in arcs:
@@ -371,6 +364,14 @@ def build_gn(n: int) -> PiecewiseConstantBoundary:
     return PiecewiseConstantBoundary.from_arcs(stage.removed, 0.0, 1.0)
 
 
+def opposite_caps() -> PiecewiseConstantBoundary:
+    """1 on the caps around pi/2 and 3*pi/2 (breakpoints at odd multiples of
+    pi/4), 0 on the two between: the square whose two chord matchings tie."""
+    return PiecewiseConstantBoundary(
+        [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)], [1.0, 0.0, 1.0, 0.0]
+    )
+
+
 # ---------------------------------------------------------------------------
 # linear ramps toward an arc union
 
@@ -389,11 +390,16 @@ def _coerce_arcs(F) -> Tuple[Optional[bool], Tuple[Arc, ...]]:
     return None, arcs
 
 
-def _sorted_disjoint(arcs: Sequence[Arc]) -> Tuple[Arc, ...]:
+def _sorted_disjoint(arcs: Iterable[Arc], caller: str) -> Tuple[Arc, ...]:
+    """The arcs sorted by start; DomainError names ``caller`` if one is empty
+    or two overlap or touch (measured from starts, so a wrap is seen)."""
     arcs = tuple(sorted(arcs, key=lambda a: a.start))
+    if any(a.measure.sign() <= 0 for a in arcs):
+        raise DomainError(f"{caller}: empty arc")
     for a, b in zip(arcs, arcs[1:] + arcs[:1]):
-        if len(arcs) > 1 and ccw_measure(a.end, b.start).sign() <= 0:
-            raise DomainError("arcs must be pairwise disjoint")
+        # each arc must end strictly before the next one starts
+        if len(arcs) > 1 and (ccw_measure(a.start, b.start) - a.measure).sign() <= 0:
+            raise DomainError(f"{caller}: arcs must be pairwise disjoint")
     return arcs
 
 
@@ -418,7 +424,7 @@ def eta_plus(F, eps: float) -> EvaluableBoundary:
     const, arcs = _coerce_arcs(F)
     if const is not None:
         return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
-    arcs = _sorted_disjoint(arcs)
+    arcs = _sorted_disjoint(arcs, "eta_plus")
     dist = _dist_to_arcs_fn(arcs)
     return EvaluableBoundary(lambda th: np.maximum(1.0 - dist(th) / eps, 0.0))
 
@@ -430,7 +436,7 @@ def eta_minus(F, eps: float) -> EvaluableBoundary:
     const, arcs = _coerce_arcs(F)
     if const is not None:
         return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
-    arcs = _sorted_disjoint(arcs)
+    arcs = _sorted_disjoint(arcs, "eta_minus")
     gaps = [Arc(a.end, b.start) for a, b in zip(arcs, arcs[1:] + arcs[:1])]
     dist = _dist_to_arcs_fn(gaps)
     return EvaluableBoundary(lambda th: np.minimum(dist(th) / eps, 1.0))

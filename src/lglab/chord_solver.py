@@ -213,19 +213,6 @@ class ChordConfiguration:
         )
 
 
-class BinaryDiskFunction:
-    """Callable 0/1 disk function realized by a chord configuration."""
-
-    def __init__(self, config: ChordConfiguration):
-        self.config = config
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return float(self.config.evaluate_points(pts[None, :])[0])
-        return self.config.evaluate_points(pts).astype(float)
-
-
 # ---------------------------------------------------------------------------
 # the interval DP
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .circle_geometry import Angle, Arc, DomainError
-from .boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
-from .chord_solver import BinaryDiskFunction, ChordConfiguration, solve_binary
+from .boundary_data import PiecewiseConstantBoundary, build_fn, build_gn, opposite_caps
+from .chord_solver import ChordConfiguration, solve_binary
 from .level_stack import (
     DEFAULT_SEED,
     LevelSetStack,
@@ -112,8 +112,7 @@ def cmd_generate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     elif kind == "notconverge":
-        bps = [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)]
-        data = PiecewiseConstantBoundary(bps, [1.0, 0.0, 1.0, 0.0])
+        data = opposite_caps()
     elif kind == "arcs":
         if len(args.spec) != 2:
             print("usage: generate arcs '<json list of [start, end]>'", file=sys.stderr)
@@ -278,12 +277,9 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
         ],
         [1.0, 0.0, 1.0, 0.0],
     )
-    caps = PiecewiseConstantBoundary(
-        [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)], [1.0, 0.0, 1.0, 0.0]
-    )
     rep_a = analysis.monotone_pipeline(fixed, 5)
     rep_a.scenario = "fixed-arcs"
-    rep_b = analysis.monotone_pipeline(caps, 5)
+    rep_b = analysis.monotone_pipeline(opposite_caps(), 5)
     rep_b.scenario = "opposite-caps"
     return _merge_reports("monotone", [rep_a, rep_b], args.seed)
 
@@ -317,12 +313,9 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     try:
         data = _load_data(args.input)
-        if data.is_binary:
-            fn = BinaryDiskFunction(solve_binary(data))
-        else:
-            fn = solve_general(data)
+        u = solve_general(data)
         est = analysis.trace(
-            fn, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
+            u, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
         )
     except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
         return _error(exc)

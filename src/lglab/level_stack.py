@@ -5,6 +5,11 @@ thresholds sit at midpoints between consecutive distinct data values, each
 binary slice gets the chord solver, and the solution evaluates a point by
 counting how many slices contain it.  The coarea formula turns the slice
 energies into the total variation of the stack.
+
+A disk function is any callable that takes an ``(n, 2)`` float array of
+points and returns ``n`` values: ``LevelSetStack`` itself, a configuration's
+``evaluate_points``, or a plain function.  ``l1_distance`` and
+``analysis.trace`` accept exactly that.
 """
 
 from __future__ import annotations
@@ -12,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .circle_geometry import DomainError
-from .chord_solver import BinaryDiskFunction, ChordConfiguration, region_subset, solve_binary
+from .chord_solver import ChordConfiguration, region_subset, solve_binary
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -99,26 +104,16 @@ class LevelSetStack:
         self.values = values
         self.slices = tuple(slices)
 
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        """Solution values at interior points; every result is a data value."""
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """Solution values at interior points, shape (n, 2); every result is
+        a data value."""
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
         if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0):
             raise DomainError("evaluation points must lie strictly inside the disk")
         count = np.zeros(len(pts), dtype=np.int64)
         for sl in self.slices:
             count += sl.config.evaluate_points(pts)
         return np.asarray(self.values)[count]
-
-    def evaluate(self, pt) -> float:
-        return float(self.evaluate_many(np.asarray(pt, dtype=float)[None, :])[0])
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return self.evaluate(pts)
-        return self.evaluate_many(pts)
 
     def __repr__(self):
         return f"LevelSetStack({len(self.values)} values, {len(self.slices)} slices)"
@@ -163,21 +158,9 @@ class L1Estimate:
     n_samples: int
 
 
-DiskFunction = Union[LevelSetStack, BinaryDiskFunction, Callable[[np.ndarray], np.ndarray]]
-
-
-def _as_callable(f: DiskFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """A vectorized evaluator: ``f.evaluate_many`` if it exists, else f itself."""
-    if hasattr(f, "evaluate_many"):
-        return f.evaluate_many
-    if callable(f):
-        return f
-    raise DomainError(f"not a disk function: {f!r}")
-
-
 def l1_distance(
-    f: DiskFunction,
-    g: DiskFunction,
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     samples: int = 200_000,
     seed: int = DEFAULT_SEED,
 ) -> L1Estimate:
@@ -190,8 +173,7 @@ def l1_distance(
     if samples < 1000:
         raise DomainError("l1_distance needs at least 1000 samples")
     pts = disk_samples(samples, seed)
-    d = np.abs(np.asarray(_as_callable(f)(pts), dtype=float)
-               - np.asarray(_as_callable(g)(pts), dtype=float))
+    d = np.abs(np.asarray(f(pts), dtype=float) - np.asarray(g(pts), dtype=float))
     value = math.pi * float(np.mean(d))
     stderr = math.pi * float(np.std(d)) / math.sqrt(samples)
     return L1Estimate(value, stderr, samples)

@@ -21,7 +21,6 @@ from lglab.boundary_data import (
     cantor_stage,
 )
 from lglab.chord_solver import (
-    BinaryDiskFunction,
     enumerate_optimal,
     region_subset,
     solve_binary,
@@ -178,7 +177,7 @@ def test_criterion_08_trace_suite():
     solved += [(build_gn(n), "minimal") for n in range(1, 7)]
     solved += [(caps, "minimal"), (caps, "maximal")]
     for data, mode in solved:
-        u = BinaryDiskFunction(solve_binary(data, mode))
+        u = solve_binary(data, mode).evaluate_points
         for ang, val in collect_trace_points(data, count=20):
             est = trace(u, ang, r0=1e-3)
             assert est.limit == val

@@ -13,8 +13,8 @@ from lglab.boundary_data import (
     eta_minus,
     quantize,
 )
-from lglab.chord_solver import BinaryDiskFunction, ChordConfiguration, enumerate_optimal, solve_binary
-from lglab.level_stack import l1_distance
+from lglab.chord_solver import ChordConfiguration, enumerate_optimal, solve_binary
+from lglab.level_stack import l1_distance, solve_general
 from lglab import analysis
 from lglab.analysis import (
     ENERGY_THRESHOLD,
@@ -93,21 +93,21 @@ class TestTrace:
         assert len(est.radii) == 4
 
     def test_binary_solution_is_exact_on_arc_interior(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         assert trace(u, math.pi / 2).limit == 1.0
         assert trace(u, math.pi).limit == 0.0
 
     def test_deterministic(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         assert trace(u, 2.0, seed=9) == trace(u, 2.0, seed=9)
 
     def test_starvation_flag(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         est = trace(u, math.pi / 2, samples=16)
         assert est.starved
 
     def test_validation(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         with pytest.raises(DomainError):
             trace(u, 1.0, r0=2.0)
         with pytest.raises(DomainError):
@@ -116,19 +116,27 @@ class TestTrace:
     @pytest.mark.parametrize("samples", [0, 1, 15])
     def test_too_few_samples_rejected(self, caps, samples):
         # so few samples can leave a radius with no point: a nan average
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         with pytest.raises(DomainError):
             trace(u, 1.0, samples=samples)
 
     @pytest.mark.parametrize("r0, levels", [(1e-3, 1100), (1e-300, 4)])
     def test_radius_below_double_resolution_rejected(self, caps, r0, levels):
         # at angle 0 every point that close to (1, 0) rounds onto the circle
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         with pytest.raises(DomainError):
             trace(u, 0.0, r0=r0, levels=levels)
 
+    @pytest.mark.parametrize("name", ["caps", "fn2", "one"])
+    def test_stack_traces_like_the_binary_solution(self, caps, name):
+        # ``lglab trace`` traces solve_general(data) for binary data as well
+        data = {"caps": caps, "fn2": build_fn(2), "one": PCB.constant(1.0)}[name]
+        for x, s in ((math.pi / 4, 0), (math.pi / 2, 3), (1.0, 9), (5.5, 11)):
+            stack = trace(solve_general(data), x, seed=s)
+            assert stack == trace(solve_binary(data).evaluate_points, x, seed=s)
+
     def test_levels_halve_radius(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         est = trace(u, 0.5, r0=1e-2, levels=5)
         assert est.radii == tuple(1e-2 * 2.0**-k for k in range(5))
 
@@ -182,7 +190,7 @@ class TestVLimit:
 
     def test_agrees_with_deep_cut_solution(self):
         v = VLimitFunction()
-        u8 = BinaryDiskFunction(solve_binary(build_gn(8)))
+        u8 = solve_binary(build_gn(8)).evaluate_points
         pts = np.array(
             [[math.cos(t) * r, math.sin(t) * r] for t in np.linspace(0, 6.2, 40) for r in (0.3, 0.9)]
         )
@@ -270,10 +278,10 @@ class TestMonotonePipeline:
             bps = [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)]
         data = PCB(bps, [1.0, 0.0, 1.0, 0.0])
         rep = monotone_pipeline(data, 5)
-        u_min = BinaryDiskFunction(solve_binary(data, "minimal"))
+        u_min = solve_binary(data, "minimal").evaluate_points
         for k, exact in enumerate(rep.details["l1_to_minimal"]):
             eps = rep.details["eps0"] * 2.0 ** (-k)
-            u_k = BinaryDiskFunction(solve_binary(quantize(eta_minus(data, eps), (0.0, 1.0))))
+            u_k = solve_binary(quantize(eta_minus(data, eps), (0.0, 1.0))).evaluate_points
             est = l1_distance(u_k, u_min, samples=200_000)
             assert abs(est.value - exact) <= 4.0 * est.stderr
 

@@ -224,6 +224,21 @@ class TestErosionDilation:
         inside = _pi("3/4").radians - eps / 2
         assert 0.0 < eta.value_at(float(inside)) < 1.0
 
+    @pytest.mark.parametrize("ramp", [eta_plus, eta_minus])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [(0, 3), (1, 2)],  # nested
+            [(0, 3), (2, 4)],  # overlapping
+            [(5, 1), (0.5, 2)],  # overlapping across the wrap
+            [(1, 1), (2, 3)],  # empty
+        ],
+    )
+    def test_overlapping_arcs_rejected(self, ramp, spec):
+        arcs = [Arc(Angle.of_radians(s), Angle.of_radians(e)) for s, e in spec]
+        with pytest.raises(DomainError):
+            ramp(arcs, 0.1)
+
     def test_quantized_erosion_shrinks_support(self):
         eps = 0.05
         u = quantize(eta_minus(self.F, eps), (0.0, 1.0))

@@ -9,7 +9,6 @@ import pytest
 from lglab.circle_geometry import Angle, Arc, DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
 from lglab.chord_solver import (
-    BinaryDiskFunction,
     ChordConfiguration,
     _pick,
     Transition,
@@ -226,7 +225,7 @@ class TestEvaluation:
         assert zero.label_area == 0.0
 
     def test_function_wrapper(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         assert u(np.array([[0.0, 0.9]]))[0] == 1
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lglab.circle_geometry import Angle, DomainError
 from lglab.boundary_data import PiecewiseConstantBoundary, build_fn
-from lglab.chord_solver import BinaryDiskFunction, region_subset, solve_binary
+from lglab.chord_solver import region_subset, solve_binary
 from lglab.level_stack import (
     DEFAULT_SEED,
     LevelSetStack,
@@ -109,21 +109,21 @@ class TestSolveGeneral:
     def test_constant(self):
         stack = solve_general(PCB.constant(0.7))
         assert len(stack.slices) == 0
-        assert stack.evaluate((0.1, 0.2)) == 0.7
+        assert stack(np.array([[0.1, 0.2]]))[0] == 0.7
         assert bv_energy(stack) == 0.0
 
     def test_evaluate_returns_exact_data_values(self):
         stack = solve_general(_three_level())
         pts = disk_samples(500, seed=11)
-        vals = set(np.unique(stack.evaluate_many(pts)))
+        vals = set(np.unique(stack(pts)))
         assert vals <= {0.0, 0.5, 1.0}
 
     def test_evaluate_rejects_outside_points(self, caps):
         stack = solve_general(caps)
         with pytest.raises(DomainError):
-            stack.evaluate((1.5, 0.0))
+            stack(np.array([[1.5, 0.0]]))
         with pytest.raises(DomainError):
-            stack.evaluate_many(np.array([[0.0, 0.0], [0.0, 1.0]]))
+            stack(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
     def test_mode_passthrough(self, caps):
         lo = solve_general(caps, "minimal")
@@ -201,15 +201,15 @@ class TestNestedness:
 
 class TestL1Distance:
     def test_zero_distance(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         est = l1_distance(u, u, samples=2000)
         assert est.value == 0.0
         assert est.stderr == 0.0
         assert est.n_samples == 2000
 
     def test_known_distance(self, caps, band):
-        u = BinaryDiskFunction(solve_binary(caps, "minimal"))
-        w = BinaryDiskFunction(solve_binary(band, "minimal"))
+        u = solve_binary(caps, "minimal").evaluate_points
+        w = solve_binary(band, "minimal").evaluate_points
         est = l1_distance(u, w, samples=120_000)
         # four disjoint circular segments, two per function, each pi/4 - 1/2
         assert est.value == pytest.approx(math.pi - 2.0, abs=4 * est.stderr + 1e-3)
@@ -220,13 +220,13 @@ class TestL1Distance:
         assert est.value == pytest.approx(solve_binary(caps).label_area, abs=0.05)
 
     def test_sample_floor(self, caps):
-        u = BinaryDiskFunction(solve_binary(caps))
+        u = solve_binary(caps).evaluate_points
         with pytest.raises(DomainError):
             l1_distance(u, u, samples=500)
 
     def test_deterministic(self, caps, band):
-        u = BinaryDiskFunction(solve_binary(caps))
-        w = BinaryDiskFunction(solve_binary(band))
+        u = solve_binary(caps).evaluate_points
+        w = solve_binary(band).evaluate_points
         a = l1_distance(u, w, samples=5000, seed=DEFAULT_SEED)
         b = l1_distance(u, w, samples=5000, seed=DEFAULT_SEED)
         assert a == b
