@@ -23,16 +23,23 @@ M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
 ``oracle-small`` benchmark workload), ``oracle16q8`` (all 16 points) and
 ``oracle24q12`` (all 24 points, above ``SCALAR_FILL_MAX``, where the
 DP takes its numpy fill and enumeration is refused, so only the two solves
-run).  The call is chosen by the instance name.
+run).  The call is chosen by the instance name.  Two more instances time a
+whole fresh interpreter instead of one call in it: ``import`` runs
+``python -c "import lglab"`` and ``solvecaps`` runs ``lglab solve`` on the
+opposite caps (written once by the first tree's ``lglab generate
+notconverge``), so both include the interpreter's start and the package
+import, and ``solvecaps`` also the solve and its report.
 
 The first call in each process is cold: it pays first-use costs such as
-numpy's call caches and the matching tables.  The process then builds the
+numpy's call caches and the matching tables, but not numpy's import, which
+the child makes before it (the ``import`` instance times that).  The process then builds the
 instance afresh, so no fill kept on the first data object is reused, and
 times the same call again, warm.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
-and of the peak RSS, the raw runs, the host, and each tree's ``src/`` line
+and of the peak RSS, or of the process time (``wall_s``) for the two
+process instances, the raw runs, the host, and each tree's ``src/`` line
 count.
 """
 
@@ -47,12 +54,15 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
-             "load200", "oracle8q12", "oracle16q8", "oracle24q12")
+             "load200", "oracle8q12", "oracle16q8", "oracle24q12", "import", "solvecaps")
+PROCESS_INSTANCES = ("import", "solvecaps")
+CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 REPEATS = 10
@@ -83,6 +93,8 @@ def child(name: str) -> None:
     JSON with a check value: the energy of the solution or of the first
     optimum, and for a load the ``fsum`` of the transition radians."""
     import math
+
+    import numpy  # noqa: F401  loaded first, so the cold call times no import
 
     from lglab.boundary_data import PiecewiseConstantBoundary
     from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
@@ -135,12 +147,39 @@ def run_child(src: Path, name: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def run_process(src: Path, name: str, caps: Path) -> dict:
+    """Time one fresh interpreter that imports ``lglab`` (``import``) or
+    runs ``lglab solve`` on the caps file (``solvecaps``); the check value
+    is the reported energy."""
+    argv = ["-c", "import lglab"] if name == "import" else ["-c", CLI_SHIM, "solve", str(caps)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t = time.perf_counter()
+    out = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
+    wall_s = time.perf_counter() - t
+    if name == "import":
+        return {"wall_s": wall_s, "transitions": 0, "energy": None}
+    report = json.loads(out.stdout)
+    return {"wall_s": wall_s, "transitions": len(report["transition_angles"]),
+            "energy": float(report["energy"]).hex()}
+
+
 def summary(xs):
     """Median and interquartile range (exclusive quartiles; 0 below 2 runs)."""
     if len(xs) < 2:
         return {"median": xs[0], "iqr": 0.0}
     q1, _, q3 = statistics.quantiles(xs, n=4)
     return {"median": statistics.median(xs), "iqr": q3 - q1}
+
+
+def instance_summary(rs) -> dict:
+    """One instance's runs on one tree: summaries of every measurement they
+    have, the raw times, and the distinct check values."""
+    out = {"transitions": rs[0]["transitions"]}
+    keys = [k for k in ("solve_s", "warm_s", "wall_s", "peak_rss_mb", "solve_rss_mb") if k in rs[0]]
+    out.update({k: summary([x[k] for x in rs]) for k in keys})
+    out.update({f"runs_{k}": [round(x[k], 4) for x in rs] for k in keys if k.endswith("_s")})
+    out["energy"] = sorted({x["energy"] for x in rs if x["energy"] is not None})
+    return out
 
 
 def src_lines(src: Path) -> int:
@@ -180,17 +219,26 @@ def main(argv=None) -> int:
 
     trees = [t.split("=", 1) for t in (args.tree or [f"change={ROOT / 'src'}"])]
     runs = {label: {n: [] for n in INSTANCES} for label, _ in trees}
-    for r in range(REPEATS):
-        order = trees if r % 2 == 0 else trees[::-1]
-        for n in INSTANCES:
-            for label, src in order:
-                res = run_child(Path(src), n)
-                runs[label][n].append(res)
-                print(f"repeat {r} {n} {label}: {res['solve_s']:.3f} s, warm {res['warm_s']:.3f} s, "
-                      f"{res['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        caps = Path(tmp) / "caps.json"
+        subprocess.run([sys.executable, "-c", CLI_SHIM, "generate", "notconverge", "--out", str(caps)],
+                       env=dict(os.environ, PYTHONPATH=trees[0][1]), check=True)
+        for r in range(REPEATS):
+            order = trees if r % 2 == 0 else trees[::-1]
+            for n in INSTANCES:
+                for label, src in order:
+                    if n in PROCESS_INSTANCES:
+                        res = run_process(Path(src), n, caps)
+                        note = f"process {res['wall_s']:.3f} s"
+                    else:
+                        res = run_child(Path(src), n)
+                        note = f"{res['solve_s']:.3f} s, warm {res['warm_s']:.3f} s, {res['peak_rss_mb']:.1f} MB"
+                    runs[label][n].append(res)
+                    print(f"repeat {r} {n} {label}: {note}", file=sys.stderr, flush=True)
 
     report = {
-        "benchmark": "solve_binary (minimal mode), enumerate_optimal or a data path, one cold and one warm call per fresh process",
+        "benchmark": ("solve_binary (minimal mode), enumerate_optimal or a data path, one cold and one warm call per "
+                      "fresh process; or a whole fresh process importing lglab or solving the opposite caps"),
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),
@@ -200,19 +248,7 @@ def main(argv=None) -> int:
     for label, src in trees:
         report["trees"][label] = {
             "src_lines": src_lines(Path(src)),
-            "instances": {
-                n: {
-                    "transitions": rs[0]["transitions"],
-                    "solve_s": summary([x["solve_s"] for x in rs]),
-                    "warm_s": summary([x["warm_s"] for x in rs]),
-                    "peak_rss_mb": summary([x["peak_rss_mb"] for x in rs]),
-                    "solve_rss_mb": summary([x["solve_rss_mb"] for x in rs]),
-                    "runs_solve_s": [round(x["solve_s"], 4) for x in rs],
-                    "runs_warm_s": [round(x["warm_s"], 4) for x in rs],
-                    "energy": sorted({x["energy"] for x in rs}),
-                }
-                for n, rs in runs[label].items()
-            },
+            "instances": {n: instance_summary(rs) for n, rs in runs[label].items()},
         }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

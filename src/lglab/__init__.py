@@ -6,6 +6,8 @@ exactly.  The package provides the boundary-data model, the binary and
 multi-level solvers, verification scenarios, and a small CLI.
 """
 
+from importlib import import_module
+
 from .circle_geometry import (
     Angle,
     Arc,
@@ -35,32 +37,33 @@ from .chord_solver import (
     solve_binary,
     transitions_of,
 )
-from .level_stack import (
-    DEFAULT_SEED,
-    L1Estimate,
-    LevelSetStack,
-    LevelSlice,
-    NestednessError,
-    bv_energy,
-    disk_samples,
-    l1_distance,
-    solve_general,
-)
-from .analysis import (
-    ScenarioReport,
-    TraceEstimate,
-    Verdict,
-    cantor_nonexistence_demo,
-    collect_trace_points,
-    minmax_check,
-    monotone_pipeline,
-    nonlin_demo,
-    nonlocality_demo,
-    oracle_check,
-    sin_meanval_check,
-    trace,
-    trapezoid_check,
-)
+
+# The verification scenarios import numpy, so they and the multi-level
+# solutions load on first use of one of their names (PEP 562): importing the
+# package loads no numpy, and generating data or solving small data never does.
+_LAZY = {
+    "level_stack": (
+        "DEFAULT_SEED", "L1Estimate", "LevelSetStack", "LevelSlice", "NestednessError",
+        "bv_energy", "disk_samples", "l1_distance", "solve_general",
+    ),
+    "analysis": (
+        "ScenarioReport", "TraceEstimate", "Verdict", "cantor_nonexistence_demo",
+        "collect_trace_points", "minmax_check", "monotone_pipeline", "nonlin_demo",
+        "nonlocality_demo", "oracle_check", "sin_meanval_check", "trace", "trapezoid_check",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"
 

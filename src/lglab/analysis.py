@@ -109,7 +109,7 @@ def trace(
     at least 16: a radius then draws up to 8 * 16 points, each inside the disk
     with probability above 0.39 (r0 < 1), so it keeps none with p < 1e-27.
     A radius too small for doubles to place a point strictly inside the disk
-    keeps none at all and raises DomainError.
+    keeps none at all and raises DomainError, as does a non-finite x.
     """
     if not (0.0 < r0 < 1.0):
         raise DomainError("r0 must lie in (0, 1)")
@@ -118,6 +118,8 @@ def trace(
     if samples < 16:
         raise DomainError(f"need at least 16 samples per radius, got {samples}")
     xrad = x.radians if isinstance(x, Angle) else float(x)
+    if not math.isfinite(xrad):
+        raise DomainError(f"trace angle must be finite, got {xrad}")
     center = np.array([math.cos(xrad), math.sin(xrad)])
     salt = int(np.float64(xrad).view(np.uint64))
     radii, averages, stderrs = [], [], []
@@ -336,6 +338,11 @@ def sin_meanval_check(k_range: Iterable[int] = range(6, 21), c_max=Fraction(1, 4
 # ---------------------------------------------------------------------------
 # scenario demos
 
+def _zero(pts: np.ndarray) -> np.ndarray:
+    """The zero disk function, the L1 limit of the Cantor stage solutions."""
+    return np.zeros(len(pts))
+
+
 def cantor_nonexistence_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """The vanishing-energy battery: stage solutions beat the decisive
     threshold, collapse to zero in L1, and the zero limit misses the data."""
@@ -371,11 +378,10 @@ def cantor_nonexistence_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioRe
     rep.details["label_areas"] = areas
     shrink = all(b < a for a, b in zip(areas, areas[1:])) and areas[-1] < 2.0 ** (-n_max)
     rep.add("L1 distance to zero vanishes", areas[-1], 2.0 ** (-n_max), shrink)
-    zero = lambda pts: np.zeros(len(pts))
     pts = _cantor_endpoint_angles(3)[:10]
     worst = 0.0
     for ang in pts:
-        est = trace(zero, ang, seed=seed)
+        est = trace(_zero, ang, seed=seed)
         worst = max(worst, abs(est.limit), est.residual)
     rep.add("zero-limit trace at Cantor points", worst, 1e-12, worst <= 1e-12)
     rep.add("trace gap against data value 1", 1.0 - worst, None, (1.0 - worst) > 0.9)
@@ -485,10 +491,9 @@ def nonlocality_demo(k: int, m: int, seed: int = DEFAULT_SEED) -> ScenarioReport
         want = _consecutive_config(data)
         ok = got.matching == want.matching
         rep.add(f"solver spans each kept arc at stage {n}", ok, None, ok)
-    zero = lambda pts: np.zeros(len(pts))
     window = cantor_stage(k).kept[m - 1]
     ang = window.start.normalized().radians
-    est = trace(zero, ang, seed=seed)
+    est = trace(_zero, ang, seed=seed)
     rep.add("zero-limit trace inside the window", abs(est.limit), 1e-12, abs(est.limit) <= 1e-12)
     rep.add(
         "trace mismatch on positive measure",

@@ -12,9 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .circle_geometry import (
     Angle,
@@ -24,6 +22,9 @@ from .circle_geometry import (
     index_of_angle,
     strictly_increasing,
 )
+
+if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
+    import numpy as np
 
 TAU = math.tau
 BISECT_TOL = 1e-12  # angular tolerance of quantize's crossing bisection
@@ -68,7 +69,7 @@ class PiecewiseConstantBoundary:
             rad = [rad[i] for i in order]
         self.breakpoints: Tuple[Angle, ...] = tuple(bps)
         self.values: Tuple[float, ...] = tuple(vals)
-        self._rad = np.array(rad, dtype=float)
+        self._rad: Tuple[float, ...] = tuple(rad)
         self._transitions = None
         self._knots = None
         self._prefix = None
@@ -133,9 +134,11 @@ class PiecewiseConstantBoundary:
             return self.values[0]
         if isinstance(angle, Angle):
             return self.values[index_of_angle(self.breakpoints, angle.normalized())]
-        return float(self.value_at_many(np.array([angle]))[0])
+        return float(self.value_at_many([angle])[0])
 
     def value_at_many(self, theta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         th = np.asarray(theta, dtype=float) % TAU
         vals = np.asarray(self.values)
         if self.is_constant:
@@ -144,7 +147,7 @@ class PiecewiseConstantBoundary:
         return vals[idx]  # idx == -1 wraps to the last arc
 
     def __call__(self, theta):
-        return self.value_at_many(np.asarray(theta, dtype=float))
+        return self.value_at_many(theta)
 
     def superlevel(self, t: float) -> "PiecewiseConstantBoundary":
         """Indicator of {data > t}."""
@@ -157,6 +160,8 @@ class PiecewiseConstantBoundary:
     # -- integrals --------------------------------------------------------
     def _cumulative_tables(self):
         if self._knots is None:
+            import numpy as np
+
             if self.is_constant:
                 knots = np.array([0.0, TAU])
                 segvals = np.array([self.values[0]])
@@ -171,6 +176,8 @@ class PiecewiseConstantBoundary:
 
     def cumulative(self, x: np.ndarray) -> np.ndarray:
         """Integral of the data over [0, x] for x in [0, 2*pi]."""
+        import numpy as np
+
         knots, segvals, prefix = self._cumulative_tables()
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(segvals) - 1)
@@ -178,6 +185,8 @@ class PiecewiseConstantBoundary:
 
     def integral_over(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Integral over ccw windows [lo, hi] with hi - lo in [0, 2*pi]."""
+        import numpy as np
+
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         width = hi - lo
@@ -255,13 +264,15 @@ class EvaluableBoundary:
         self._fn = fn
 
     def value_at_many(self, theta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._fn(np.asarray(theta, dtype=float)), dtype=float)
 
     def value_at(self, theta: float) -> float:
-        return float(self.value_at_many(np.array([float(theta)]))[0])
+        return float(self.value_at_many([float(theta)])[0])
 
     def __call__(self, theta):
-        return self.value_at_many(np.asarray(theta, dtype=float))
+        return self.value_at_many(theta)
 
 
 BoundaryData = Union[PiecewiseConstantBoundary, EvaluableBoundary]
@@ -404,6 +415,8 @@ def _sorted_disjoint(arcs: Iterable[Arc], caller: str) -> Tuple[Arc, ...]:
 
 
 def _dist_to_arcs_fn(arcs: Sequence[Arc]) -> Callable[[np.ndarray], np.ndarray]:
+    import numpy as np
+
     starts = np.array([a.start.radians for a in arcs])
     meas = np.array([a.measure_radians for a in arcs])
 
@@ -421,6 +434,8 @@ def eta_plus(F, eps: float) -> EvaluableBoundary:
     """Outer ramp max(1 - dist(x, F)/eps, 0); dist is intrinsic arc length."""
     if eps <= 0:
         raise DomainError("eta_plus: eps must be positive")
+    import numpy as np
+
     const, arcs = _coerce_arcs(F)
     if const is not None:
         return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
@@ -433,6 +448,8 @@ def eta_minus(F, eps: float) -> EvaluableBoundary:
     """Inner ramp min(dist(x, complement of F on the circle)/eps, 1)."""
     if eps <= 0:
         raise DomainError("eta_minus: eps must be positive")
+    import numpy as np
+
     const, arcs = _coerce_arcs(F)
     if const is not None:
         return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
@@ -457,6 +474,8 @@ class DiscreteConvolution(EvaluableBoundary):
     def __init__(self, data: BoundaryData, eps: float):
         if not (0.0 < eps < math.pi / 4):
             raise DomainError("discrete_convolution: eps must lie in (0, pi/4)")
+        import numpy as np
+
         self.eps = float(eps)
         self.n_centers = math.ceil(TAU / (2 * eps / 5))
         self.spacing = TAU / self.n_centers
@@ -475,6 +494,8 @@ class DiscreteConvolution(EvaluableBoundary):
         super().__init__(self._evaluate)
 
     def _hat_weights(self, theta: np.ndarray):
+        import numpy as np
+
         th = np.asarray(theta, dtype=float) % TAU
         i0 = np.rint(th / self.spacing).astype(np.int64)
         offs = np.arange(-self._window, self._window + 1)
@@ -494,6 +515,8 @@ class DiscreteConvolution(EvaluableBoundary):
 
 def _project_indices(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest-level index, ties resolved to the upper level."""
+    import numpy as np
+
     if len(levels) == 1:
         return np.zeros(np.shape(vals), dtype=np.int64)
     mids = (levels[:-1] + levels[1:]) / 2.0
@@ -513,6 +536,8 @@ def quantize(
     to angular tolerance 1e-12; an offset-grid probe verifies the result and
     triggers one refined retry (with a warning) if a feature was missed.
     """
+    import numpy as np
+
     lv = np.asarray(sorted(levels), dtype=float)
     if lv.size == 0:
         raise DomainError("quantize: need at least one level")

@@ -18,9 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .circle_geometry import (
     Angle,
@@ -28,6 +26,9 @@ from .circle_geometry import (
     chord_length,
     strictly_increasing,
 )
+
+if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
+    import numpy as np
 
 MAX_TRANSITIONS = 2000
 ENERGY_REL_TOL = 1e-12
@@ -44,10 +45,11 @@ class Transition:
 
 class TransitionSet(tuple):
     """Validated, immutable ccw transition tuple that also holds the value
-    across angle 0 (``base``), the normalized ``angles`` and their float
-    radians ``u`` (read only).  The constructor checks order (with
-    ``strictly_increasing``), alternation and base; ``transitions_of`` builds
-    a data object's set unchecked, and configurations share a set as it is.
+    across angle 0 (``base``), the normalized ``angles``, their float
+    ``radians`` as a tuple and, built on first use, as the read-only array
+    ``u``.  The constructor checks order (with ``strictly_increasing``),
+    alternation and base; ``transitions_of`` builds a data object's set
+    unchecked, and configurations share a set as it is.
     """
 
     def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
@@ -64,17 +66,24 @@ class TransitionSet(tuple):
         # the wrap arc holds value 1 exactly when the last transition is rising
         if self and base != int(self[-1].rising):
             raise DomainError("base value inconsistent with transition types")
-        return cls._of(self, int(base), angles, np.array(u, dtype=float))
+        return cls._of(self, int(base), angles, tuple(u))
 
     @classmethod
-    def _of(cls, transitions, base: int, angles, u: np.ndarray) -> "TransitionSet":
+    def _of(cls, transitions, base: int, angles, radians: Tuple[float, ...]) -> "TransitionSet":
         self = super().__new__(cls, transitions)
-        u.flags.writeable = False
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "radians", radians)
         object.__setattr__(self, "_fill", None)  # what solve_binary shares between modes
         return self
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        import numpy as np
+
+        u = np.array(self.radians, dtype=float)
+        u.flags.writeable = False
+        return u
 
     def __setattr__(self, *_):
         raise AttributeError("TransitionSet is immutable")
@@ -149,13 +158,13 @@ class ChordConfiguration:
     @cached_property
     def energy(self) -> float:
         """Total chord length, summed canonically (index order, exact fsum)."""
-        u = self.transitions.u.tolist()
+        u = self.transitions.radians
         return math.fsum(chord_length(u[j] - u[i]) for i, j in self.matching)
 
     @cached_property
     def label_area(self) -> float:
         """Area of the label-1 region (boundary arcs plus chord terms)."""
-        u = self.transitions.u.tolist()
+        u = self.transitions.radians
         n = len(self.transitions)
         if n == 0:
             return math.pi * self.base_value
@@ -173,8 +182,10 @@ class ChordConfiguration:
     @cached_property
     def _chord_tests(self):
         """Per chord: endpoint points, and the orientation sign of its arc side."""
+        import numpy as np
+
         tests = []
-        u = self.transitions.u
+        u = self.transitions.radians
         for i, j in self.matching:
             p = np.array(self.transitions[i].angle.point())
             q = np.array(self.transitions[j].angle.point())
@@ -187,6 +198,8 @@ class ChordConfiguration:
     def evaluate_points(self, pts: np.ndarray) -> np.ndarray:
         """Labels (0/1) at planar points, shape (n, 2).  Points on a chord get
         the label of the side the strict test leaves them on (a null set)."""
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         flip = np.zeros(len(pts), dtype=np.int64)
         for p, d, ref in self._chord_tests:
@@ -221,38 +234,46 @@ SCALAR_FILL_MAX = 20  # the most transitions the scalar fill takes (see solve_bi
 
 def _chord_diffs(u: np.ndarray) -> np.ndarray:
     """``u[i + 1 + 2t] - u[i]`` at ``[t, i]``: the span-major chord table
-    of shape (m/2, m) from which both fills take their chord terms (entries
-    with i + 1 + 2t >= m read zero padding and are never used)."""
+    of shape (m/2, m) from which ``_numpy_fill`` takes its chord terms
+    (entries with i + 1 + 2t >= m read zero padding and are never used)."""
+    import numpy as np
+
     n = u.size
     u_at = np.ndarray((n + 1, n), buffer=np.concatenate((u, np.zeros(n))), strides=(8, 8))  # u[s+i]
     return u_at[1::2] - u
 
 
-def _chord_lengths(trans: TransitionSet) -> np.ndarray:
-    """Chord (i, i + 1 + 2t) length at ``[t, i]``."""
-    C = _chord_diffs(trans.u)
-    C *= 0.5
-    np.sin(C, out=C)
-    C *= 2.0
-    return C
+def _flat_chord_diffs(u: Sequence[float]) -> List[float]:
+    """``_chord_diffs`` flattened to a list in plain Python, for the scalar
+    fill: ``u[i + 1 + 2t] - u[i]`` at ``t m + i``."""
+    n = len(u)
+    padded = list(u) + [0.0] * n
+    return [padded[i + s] - u[i] for s in range(1, n, 2) for i in range(n)]
 
 
-def _area_terms(trans: TransitionSet, mode: str) -> np.ndarray:
-    """Chord (i, i + 1 + 2t) signed area term at ``[t, i]``: sin(u[k] - u[i]),
+def _area_terms(trans: TransitionSet, mode: str, D):
+    """Chord (i, i + 1 + 2t) signed area term in the place of its difference
+    in ``D``, the calling fill's chord table (``_chord_diffs``' array, which
+    is overwritten, or ``_flat_chord_diffs``' list): sin(u[k] - u[i]),
     negated for a rising i, and negated again in maximal mode so the smallest
     term always wins.  Only a tie reads it, so the fills build it at their
-    first tie."""
-    sgn = np.where([t.rising for t in trans], -1.0, 1.0)
-    if mode == "maximal":
-        sgn = -sgn
-    S = _chord_diffs(trans.u)
-    np.sin(S, out=S)
-    S *= sgn
-    return S
+    first tie.  ``math.sin`` and numpy's ``sin`` agree to the bit on the
+    platforms the tests run on, which ``tests/test_dp_fill.py`` pins."""
+    flip = -1.0 if mode == "maximal" else 1.0
+    sgn = [-flip if t.rising else flip for t in trans]
+    if isinstance(D, list):
+        return [math.sin(d) * sgn[k % len(sgn)] for k, d in enumerate(D)]
+    import numpy as np
+
+    np.sin(D, out=D)
+    D *= sgn
+    return D
 
 
 def _near_min(e: np.ndarray, out=None) -> np.ndarray:
     """Mask of the near-minimal energies along axis 0 (see ``_pick``)."""
+    import numpy as np
+
     emin = e.min(axis=0)
     return np.less_equal(e, emin + ENERGY_REL_TOL * np.maximum(1.0, np.abs(emin)), out=out)
 
@@ -266,6 +287,8 @@ def _pick(e: np.ndarray, a: np.ndarray, near=None) -> np.ndarray:
     given), among them the ones whose area term is within ``AREA_TOL`` of the
     smallest, and take the first of those (the smallest split index).
     """
+    import numpy as np
+
     a = np.where(_near_min(e) if near is None else near, a, np.inf)
     return (a <= a.min(axis=0) + AREA_TOL).argmax(axis=0)
 
@@ -292,6 +315,8 @@ def _numpy_fill(trans: TransitionSet, mode: str):
     (split, start) pairs; ``solve_binary`` uses it above ``SCALAR_FILL_MAX``
     transitions.  Returns the matching and, for ``solve_binary`` to share,
     the matching again when no step tied (it serves both modes), else None."""
+    import numpy as np
+
     n = len(trans)
     # Row h of each table holds the intervals (i, i + 2h) at column i.  For
     # half-span h, split k = i + 1 + 2t pairs i with k and leaves (i+1, k)
@@ -301,7 +326,10 @@ def _numpy_fill(trans: TransitionSet, mode: str):
     A = np.zeros((half + 1, n + 1))
     T = np.zeros((half + 1, n + 1), dtype=np.int32)
     E_out, A_out = (np.ndarray((X.size - n, n + 1), buffer=X, strides=(8, 8)) for X in (E, A))
-    C, S = _chord_lengths(trans), None
+    C, S = _chord_diffs(trans.u), None  # chord (i, i + 1 + 2t) length at [t, i]
+    C *= 0.5
+    np.sin(C, out=C)
+    C *= 2.0
     cols = np.arange(n + 1)
     # step buffers for the energies, their mask and tied areas; h * rows <= (n + 1)^2 / 8
     e_buf = np.empty(n * n // 8 + n + 1)
@@ -316,7 +344,7 @@ def _numpy_fill(trans: TransitionSet, mode: str):
         ok = _near_min(e, out=ok_buf[: h * rows].reshape(h, rows))
         if np.count_nonzero(ok) > rows:  # a tie: untied columns _pick as argmax does
             if S is None:
-                S = _area_terms(trans, mode)
+                S = _area_terms(trans, mode, _chord_diffs(trans.u))
             for g in range(filled + 1, h):  # areas of the splits chosen since the last tie
                 t, c = T[g, : n - 2 * g + 1], cols[: n - 2 * g + 1]
                 A[g, : c.size] = S[t, c] + A[t, 1 + c] + A_out[(g - 1) * (n + 1) + 2 :: 1 - n][t, c]
@@ -354,8 +382,9 @@ def _pick_area(areas: List[float]) -> int:
 
 
 def _scalar_tables(trans: TransitionSet, mode: str):
-    """The DP filled one cell at a time over float lists, with ``_pick``'s
-    rule in the same IEEE operations as ``_numpy_fill``: energies
+    """The DP filled one cell at a time over float lists, without numpy,
+    with ``_pick``'s rule in the same IEEE operations as ``_numpy_fill``:
+    chord terms 2.0 * sin(0.5 * d) and area terms by ``math.sin``, energies
     (C + E_in) + E_out, the bound emin + ENERGY_REL_TOL * max(1, |emin|),
     and, in a cell with more than one near-minimal split, areas
     (S + A_in) + A_out and the first split within AREA_TOL of the smallest.
@@ -364,7 +393,8 @@ def _scalar_tables(trans: TransitionSet, mode: str):
     n = len(trans)
     cells = _schedule(n)
     size = (n // 2 + 1) * (n + 1)
-    C, E, T = _chord_lengths(trans).ravel().tolist(), [0.0] * size, [0] * size
+    D = _flat_chord_diffs(trans.radians)
+    C, E, T = [2.0 * math.sin(0.5 * d) for d in D], [0.0] * size, [0] * size
     S = A = None
     filled = 0  # A holds the areas of the cells before this position
     for pos, (cell, splits) in enumerate(cells):
@@ -376,7 +406,7 @@ def _scalar_tables(trans: TransitionSet, mode: str):
             t = es.index(emin)
             if sorted(es)[1] <= bound:  # more than one near-minimal split
                 if S is None:
-                    S, A = _area_terms(trans, mode).ravel().tolist(), [0.0] * size
+                    S, A = _area_terms(trans, mode, D), [0.0] * size
                 for done, done_splits in cells[filled:pos]:
                     c, i, o = done_splits[T[done]]
                     A[done] = S[c] + A[i] + A[o]
@@ -440,6 +470,8 @@ ENUMERATION_CAP = 16
 def _all_matchings(n: int) -> np.ndarray:
     """Every non-crossing matching of n points in recursion order, as a
     read-only int8 table of shape (Catalan(n/2), n/2, 2)."""
+    import numpy as np
+
     memo: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], ...]]] = {}
 
     def rec(i: int, j: int) -> List[Tuple[Tuple[int, int], ...]]:
@@ -465,6 +497,8 @@ def select_optimal(
 ) -> ChordConfiguration:
     """The representative the DP selects, from an explicit list: ``_pick``
     over the configurations in matching order."""
+    import numpy as np
+
     area_sign = 1.0 if mode == "minimal" else -1.0
     ordered = sorted(configs, key=lambda c: c.matching)
     e = np.array([c.energy for c in ordered])
@@ -476,6 +510,8 @@ def select_optimal(
 def _matching_index(n: int) -> np.ndarray:
     """Read-only (n/2, Catalan(n/2)) intp table: column r holds the chords of
     ``_all_matchings(n)[r]`` as positions in the list of all (i, k), k - i odd."""
+    import numpy as np
+
     i, k = _all_matchings(n).T.astype(np.intp)
     start = np.cumsum([0] + [(n - x) // 2 for x in range(n)])
     index = start[i] + (k - i - 1) // 2
@@ -494,6 +530,8 @@ def _near_optimal(terms: np.ndarray) -> Tuple[List[int], List[float]]:
     band of it (two roundings) has s <= (1 + g)(1 + u)^3 / ((1 - u)(1 - g))
     B(s0) < (1 + (2h + 4)u) B(s0).  2 err = (2h + 8)u max(1, s0) covers that
     and the threshold's 3 roundings, and the smallest fsum is among those."""
+    import numpy as np
+
     s = terms.sum(axis=0)
     s0 = float(s.min())
     err = (terms.shape[0] + 4) * 2.0**-53 * max(1.0, s0)  # (h + 4)u max(1, s0)
@@ -513,8 +551,10 @@ def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfigurat
     n = len(trans)
     if n > cap:
         raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
+    import numpy as np
+
     # chord_length's own operations; its range check holds on sorted u
-    u = trans.u.tolist()
+    u = trans.radians
     lengths = np.array([2.0 * math.sin(0.5 * (y - x)) for i, x in enumerate(u) for y in u[i + 1 :: 2]])
     table = _all_matchings(n)
     best = []

@@ -13,9 +13,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
 from .circle_geometry import Angle, Arc, DomainError
@@ -28,7 +27,9 @@ from .level_stack import (
     bv_energy,
     solve_general,
 )
-from . import analysis
+
+if TYPE_CHECKING:  # imported by the commands that need it, with numpy
+    from . import analysis
 
 
 def _fmt(x: float) -> str:
@@ -38,7 +39,7 @@ def _fmt(x: float) -> str:
 def _json_value(v):
     if isinstance(v, bool):
         return v
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, Integral):
         return int(v)
     if isinstance(v, float):
         return _fmt(v)
@@ -88,6 +89,8 @@ def _report_dict(rep: analysis.ScenarioReport) -> dict:
 
 
 def _merge_reports(name: str, parts: List[analysis.ScenarioReport], seed: int) -> analysis.ScenarioReport:
+    from . import analysis
+
     merged = analysis.ScenarioReport(name, seed=seed)
     for part in parts:
         for v in part.verdicts:
@@ -102,7 +105,7 @@ def _merge_reports(name: str, parts: List[analysis.ScenarioReport], seed: int) -
 def cmd_generate(args) -> int:
     kind = args.spec[0]
     if kind in ("cantor-fn", "cantor-gn"):
-        if len(args.spec) != 2 or not args.spec[1].isdigit():
+        if len(args.spec) != 2 or not args.spec[1].isdecimal():
             print(f"usage: generate {kind} <stage>", file=sys.stderr)
             return 2
         n = int(args.spec[1])
@@ -150,7 +153,7 @@ def _config_dict(cfg: ChordConfiguration) -> dict:
         "label_area": _fmt(cfg.label_area),
         "matching": [[int(i), int(j)] for i, j in cfg.matching],
         "base_value": cfg.base_value,
-        "transition_angles": [_fmt(x) for x in cfg.transitions.u],
+        "transition_angles": [_fmt(x) for x in cfg.transitions.radians],
     }
 
 
@@ -213,7 +216,7 @@ def _render_config(cfg: ChordConfiguration, opacity: float = 0.35) -> List[str]:
     is 1, the disk as two half-disks.  Segments of non-crossing chords nest,
     so a point is filled when the base value plus the number of segments
     holding it is odd: the label ``evaluate_points`` gives it."""
-    u = cfg.transitions.u.tolist()
+    u = cfg.transitions.radians
     spans = [(u[i], u[j]) for i, j in cfg.matching] + [(0.0, math.pi), (math.pi, 0.0)] * cfg.base_value
     d = []
     for a, b in spans:
@@ -268,6 +271,8 @@ def render_svg(data: PiecewiseConstantBoundary, solution) -> str:
 # verify
 
 def _suite_monotone(args) -> analysis.ScenarioReport:
+    from . import analysis
+
     fixed = PiecewiseConstantBoundary(
         [
             Angle(Fraction(1, 4), 0),
@@ -285,12 +290,16 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
 
 
 def _suite_inequalities(args) -> analysis.ScenarioReport:
+    from . import analysis
+
     rep_a = analysis.trapezoid_check(10)
     rep_b = analysis.sin_meanval_check(range(6, 21), Fraction(1, 4))
     return _merge_reports("inequalities", [rep_a, rep_b], args.seed)
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
+
     suites = {
         "nonexistence": lambda: analysis.cantor_nonexistence_demo(8, seed=args.seed),
         "nonlinearity": lambda: analysis.nonlin_demo(8, seed=args.seed),
@@ -311,6 +320,8 @@ def cmd_verify(args) -> int:
 # trace
 
 def cmd_trace(args) -> int:
+    from . import analysis
+
     try:
         data = _load_data(args.input)
         u = solve_general(data)

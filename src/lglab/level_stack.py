@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from .circle_geometry import DomainError
 from .chord_solver import ChordConfiguration, region_subset, solve_binary
+
+if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
+    import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -36,6 +37,8 @@ def _scrambled_radical_inverse(n: int, base: int, rng: np.random.Generator) -> n
     a table over the residues mod ``base**k``; rows past every index's last
     nonzero digit add one scalar.
     """
+    import numpy as np
+
     perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
     for perm in perms:
         rng.shuffle(perm)
@@ -65,6 +68,8 @@ def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     Memoized on ``(n, seed)``, so the array is read-only."""
     if n < 1:
         raise DomainError("need at least one sample")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     r = np.sqrt(_scrambled_radical_inverse(n, 2, rng))
     th = 2.0 * math.pi * _scrambled_radical_inverse(n, 3, rng)
@@ -107,6 +112,8 @@ class LevelSetStack:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """Solution values at interior points, shape (n, 2); every result is
         a data value."""
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0):
             raise DomainError("evaluation points must lie strictly inside the disk")
@@ -172,6 +179,8 @@ def l1_distance(
     """
     if samples < 1000:
         raise DomainError("l1_distance needs at least 1000 samples")
+    import numpy as np
+
     pts = disk_samples(samples, seed)
     d = np.abs(np.asarray(f(pts), dtype=float) - np.asarray(g(pts), dtype=float))
     value = math.pi * float(np.mean(d))

@@ -1,9 +1,9 @@
 import re
-from fractions import Fraction
 
 import pytest
 
-from lglab import Angle, PiecewiseConstantBoundary
+from lglab import PiecewiseConstantBoundary
+from lglab.boundary_data import opposite_caps
 
 _ACCEPTANCE = {}
 
@@ -26,8 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def caps():
     """Two opposite caps: value 1 on [pi/4, 3pi/4] and [5pi/4, 7pi/4]."""
-    bps = [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)]
-    return PiecewiseConstantBoundary(bps, [1.0, 0.0, 1.0, 0.0])
+    return opposite_caps()
 
 
 @pytest.fixture

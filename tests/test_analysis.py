@@ -11,6 +11,7 @@ from lglab.boundary_data import (
     build_fn,
     build_gn,
     eta_minus,
+    opposite_caps,
     quantize,
 )
 from lglab.chord_solver import ChordConfiguration, enumerate_optimal, solve_binary
@@ -274,9 +275,9 @@ class TestMonotonePipeline:
         # the two inputs of ``lglab verify monotone``
         if name == "fixed-arcs":
             bps = [Angle(Fraction(x), 0) for x in ("1/4", "3/4", "9/8", "7/4")]
+            data = PCB(bps, [1.0, 0.0, 1.0, 0.0])
         else:
-            bps = [Angle.of_pi(Fraction(2 * k + 1, 4)) for k in range(4)]
-        data = PCB(bps, [1.0, 0.0, 1.0, 0.0])
+            data = opposite_caps()
         rep = monotone_pipeline(data, 5)
         u_min = solve_binary(data, "minimal").evaluate_points
         for k, exact in enumerate(rep.details["l1_to_minimal"]):

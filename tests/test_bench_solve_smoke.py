@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import fsum_enumeration
+from lglab.boundary_data import opposite_caps
 from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +42,18 @@ def test_child_prints_the_checked_energy(name):
     assert out["energy"] == want.hex()
     assert out["transitions"] == len(trans)
     assert out["solve_s"] > 0 and out["warm_s"] > 0 and out["peak_rss_mb"] > 0
+
+
+def test_process_instances_time_fresh_interpreters(tmp_path):
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps(opposite_caps().to_json_dict()))
+    for name in bench_solve.PROCESS_INSTANCES:
+        assert name in bench_solve.INSTANCES
+        out = bench_solve.run_process(ROOT / "src", name, caps)
+        assert out["wall_s"] > 0
+        if name == "solvecaps":
+            assert out["energy"] == solve_binary(opposite_caps()).energy.hex()
+            assert out["transitions"] == 4
+        summary = bench_solve.instance_summary([out, out])
+        assert summary["runs_wall_s"] == [round(out["wall_s"], 4)] * 2
+        assert "solve_s" not in summary

@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
 import re
 import contextlib
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,19 @@ class TestGenerate:
         code, _, err = run(spec)
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("stage", ["\u00b2", "\u2460"])  # superscript two, circled one
+    def test_digits_int_rejects_are_usage_errors(self, stage):
+        # str.isdigit accepts them, but int() does not
+        code, out, err = run(["generate", "cantor-fn", stage])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: generate cantor-fn")
+
+    def test_non_ascii_decimal_stage(self):
+        code, out, _ = run(["generate", "cantor-fn", "\u0663"])  # Arabic-Indic three
+        assert code == 0
+        assert PiecewiseConstantBoundary.from_json_dict(json.loads(out)) == build_fn(3)
 
     @pytest.mark.parametrize("end", ["1e999", "Infinity"])
     def test_infinite_arc_endpoint_exit_2(self, end):
@@ -355,6 +372,15 @@ class TestTrace:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_structured_error(self, caps_path, angle):
+        code, out, err = run(["trace", caps_path, "--", angle])
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "DomainError"
+        assert diag["message"] == f"trace angle must be finite, got {float(angle)}"
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_structured_error(self, caps_path, samples):
         # so few samples can leave a radius with no point: a nan average
@@ -388,3 +414,74 @@ def test_negative_seed_structured_error(caps_path, argv):
     diag = json.loads(err)
     assert diag["error"] == "DomainError"
     assert "seed" in diag["message"]
+
+
+# ---------------------------------------------------------------------------
+# numpy stays off the import path, and off generate and small binary solves
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(code, *args):
+    res = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.parametrize("module", ["lglab", "lglab.cli"])
+def test_import_loads_no_numpy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _python(code).strip() == "[]"
+
+
+def test_package_names_resolve():
+    import lglab
+    from lglab import analysis, level_stack
+
+    for name in lglab.__all__:
+        value = getattr(lglab, name)
+        for module in (analysis, level_stack):
+            if name in vars(module):
+                assert value is vars(module)[name]
+    assert set(lglab.__all__) <= set(dir(lglab))
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        lglab.nowhere
+
+
+# each call's exit code and stdout, run in one process where numpy cannot be imported
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from lglab.cli import main
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        outs.append([main(argv), buf.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+def test_generate_and_small_solves_run_without_numpy(tmp_path):
+    specs = [["cantor-fn", str(n)] for n in range(4)] + [["cantor-gn", str(n)] for n in range(4)]
+    specs += [["notconverge"], ["arcs", "[[0.5, 1.0], [2.0, 2.5], [4.0, 6.0]]"]]
+
+    def calls(tag):
+        out = []
+        for k, spec in enumerate(specs):
+            path = str(tmp_path / f"{tag}{k}.json")
+            out += [["generate", *spec], ["generate", *spec, "--out", path]]
+            for mode in ("minimal", "maximal"):
+                out += [["solve", path, "--mode", mode],
+                        ["solve", path, "--mode", mode, "--render", str(tmp_path / f"{tag}{k}{mode}.svg")]]
+        return out
+
+    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls("a"))))
+    import numpy  # noqa: F401  the reference calls run here, with numpy loaded
+
+    with_numpy = [list(run(argv)[:2]) for argv in calls("b")]
+    assert without == with_numpy
+    assert all(code == 0 for code, _ in without)
+    for a in sorted(tmp_path.glob("a*")):
+        assert a.read_bytes() == (tmp_path / ("b" + a.name[1:])).read_bytes(), a.name
