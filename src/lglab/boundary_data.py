@@ -1,9 +1,12 @@
 """Boundary data on the unit circle.
 
-Piecewise-constant data with exact rational breakpoints, the fat Cantor
-construction driving the verification scenarios, linear ramp approximants,
-a discrete convolution smoother with a piecewise-linear partition of unity,
-and quantization back to piecewise-constant form.
+A boundary function is any callable from an array of angles in radians to an
+array of values, as a disk function is a callable on an ``(n, 2)`` point
+array.  Piecewise-constant data with exact rational breakpoints is one such
+callable; the linear ramp approximants and the discrete convolution smoother
+(a piecewise-linear partition of unity) are others.  The module also holds
+the fat Cantor construction driving the verification scenarios, and
+quantization back to piecewise-constant form.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class PiecewiseConstantBoundary:
     zero-length arcs are rejected, adjacent arcs with equal values merge.
     """
 
-    __slots__ = ("breakpoints", "values", "_rad", "_transitions", "_knots", "_prefix", "_segvals")
+    __slots__ = ("breakpoints", "values", "_rad", "_transitions")
 
     def __init__(self, breakpoints: Sequence[Angle], values: Sequence[float]):
         bps = [b.normalized() for b in breakpoints]
@@ -71,9 +74,6 @@ class PiecewiseConstantBoundary:
         self.values: Tuple[float, ...] = tuple(vals)
         self._rad: Tuple[float, ...] = tuple(rad)
         self._transitions = None
-        self._knots = None
-        self._prefix = None
-        self._segvals = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -134,20 +134,14 @@ class PiecewiseConstantBoundary:
             return self.values[0]
         if isinstance(angle, Angle):
             return self.values[index_of_angle(self.breakpoints, angle.normalized())]
-        return float(self.value_at_many([angle])[0])
+        return float(self([angle])[0])
 
-    def value_at_many(self, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
         import numpy as np
 
         th = np.asarray(theta, dtype=float) % TAU
-        vals = np.asarray(self.values)
-        if self.is_constant:
-            return np.full(th.shape, vals[0])
         idx = np.searchsorted(self._rad, th, side="right") - 1
-        return vals[idx]  # idx == -1 wraps to the last arc
-
-    def __call__(self, theta):
-        return self.value_at_many(theta)
+        return np.asarray(self.values)[idx]  # idx == -1 wraps to the last arc
 
     def superlevel(self, t: float) -> "PiecewiseConstantBoundary":
         """Indicator of {data > t}."""
@@ -158,48 +152,30 @@ class PiecewiseConstantBoundary:
         )
 
     # -- integrals --------------------------------------------------------
-    def _cumulative_tables(self):
-        if self._knots is None:
-            import numpy as np
-
-            if self.is_constant:
-                knots = np.array([0.0, TAU])
-                segvals = np.array([self.values[0]])
-            else:
-                r = self._rad
-                knots = np.concatenate(([0.0], r, [TAU]))
-                segvals = np.concatenate(([self.values[-1]], self.values))
-            widths = np.diff(knots)
-            prefix = np.concatenate(([0.0], np.cumsum(segvals * widths)))
-            self._knots, self._segvals, self._prefix = knots, segvals, prefix
-        return self._knots, self._segvals, self._prefix
-
-    def cumulative(self, x: np.ndarray) -> np.ndarray:
-        """Integral of the data over [0, x] for x in [0, 2*pi]."""
-        import numpy as np
-
-        knots, segvals, prefix = self._cumulative_tables()
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(segvals) - 1)
-        return prefix[idx] + segvals[idx] * (x - knots[idx])
-
     def integral_over(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Integral over ccw windows [lo, hi] with hi - lo in [0, 2*pi]."""
         import numpy as np
 
+        if self.is_constant:
+            knots = np.array([0.0, TAU])
+            segvals = np.array([self.values[0]])
+        else:
+            knots = np.concatenate(([0.0], self._rad, [TAU]))
+            segvals = np.concatenate(([self.values[-1]], self.values))
+        prefix = np.concatenate(([0.0], np.cumsum(segvals * np.diff(knots))))
+
+        def upto(x):  # integral over [0, x] for x in [0, 2*pi]
+            idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(segvals) - 1)
+            return prefix[idx] + segvals[idx] * (x - knots[idx])
+
         lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        width = hi - lo
         lo_m = lo % TAU
-        hi_m = lo_m + width
-        total = self.cumulative(np.array([TAU]))[0]
-        wrapped = hi_m > TAU
-        out = np.where(
-            wrapped,
-            total - self.cumulative(lo_m) + self.cumulative(np.minimum(hi_m - TAU, TAU)),
-            self.cumulative(np.minimum(hi_m, TAU)) - self.cumulative(lo_m),
+        hi_m = lo_m + (np.asarray(hi, dtype=float) - lo)
+        return np.where(
+            hi_m > TAU,
+            prefix[-1] - upto(lo_m) + upto(np.minimum(hi_m - TAU, TAU)),
+            upto(np.minimum(hi_m, TAU)) - upto(lo_m),
         )
-        return out
 
     # -- exact comparisons ------------------------------------------------
     def is_leq(self, other: "PiecewiseConstantBoundary") -> bool:
@@ -255,27 +231,6 @@ class PiecewiseConstantBoundary:
         except ValueError as exc:
             raise DomainError(f"breakpoint cannot be written back: {exc}") from None
         return data
-
-
-class EvaluableBoundary:
-    """Boundary function given by a vectorized evaluator on angles (radians)."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def value_at_many(self, theta: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self._fn(np.asarray(theta, dtype=float)), dtype=float)
-
-    def value_at(self, theta: float) -> float:
-        return float(self.value_at_many([float(theta)])[0])
-
-    def __call__(self, theta):
-        return self.value_at_many(theta)
-
-
-BoundaryData = Union[PiecewiseConstantBoundary, EvaluableBoundary]
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +341,18 @@ def opposite_caps() -> PiecewiseConstantBoundary:
 # ---------------------------------------------------------------------------
 # linear ramps toward an arc union
 
-def _coerce_arcs(F) -> Tuple[Optional[bool], Tuple[Arc, ...]]:
+def _coerce_arcs(F, caller: str) -> Tuple[Optional[bool], Tuple[Arc, ...]]:
     """Returns (constant_truth, arcs): constant_truth is True/False when the
-    set is the full circle / empty, else None with the arcs."""
+    set is the full circle / empty, else None with the arcs as
+    ``_sorted_disjoint`` returns them."""
     if isinstance(F, PiecewiseConstantBoundary):
         if not F.is_binary:
             raise DomainError("indicator data must be binary")
         if F.is_constant:
             return (F.values[0] == 1.0), ()
-        return None, F.support_arcs(1.0)
-    arcs = tuple(F)
-    if not arcs:
-        return False, ()
-    return None, arcs
+        F = F.support_arcs(1.0)
+    arcs = _sorted_disjoint(F, caller)
+    return (None if arcs else False), arcs
 
 
 def _sorted_disjoint(arcs: Iterable[Arc], caller: str) -> Tuple[Arc, ...]:
@@ -430,68 +384,58 @@ def _dist_to_arcs_fn(arcs: Sequence[Arc]) -> Callable[[np.ndarray], np.ndarray]:
     return dist
 
 
-def eta_plus(F, eps: float) -> EvaluableBoundary:
+def eta_plus(F, eps: float) -> Callable[[np.ndarray], np.ndarray]:
     """Outer ramp max(1 - dist(x, F)/eps, 0); dist is intrinsic arc length."""
     if eps <= 0:
         raise DomainError("eta_plus: eps must be positive")
     import numpy as np
 
-    const, arcs = _coerce_arcs(F)
+    const, arcs = _coerce_arcs(F, "eta_plus")
     if const is not None:
-        return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
-    arcs = _sorted_disjoint(arcs, "eta_plus")
+        return lambda th: np.full(np.shape(th), 1.0 if const else 0.0)
     dist = _dist_to_arcs_fn(arcs)
-    return EvaluableBoundary(lambda th: np.maximum(1.0 - dist(th) / eps, 0.0))
+    return lambda th: np.maximum(1.0 - dist(th) / eps, 0.0)
 
 
-def eta_minus(F, eps: float) -> EvaluableBoundary:
+def eta_minus(F, eps: float) -> Callable[[np.ndarray], np.ndarray]:
     """Inner ramp min(dist(x, complement of F on the circle)/eps, 1)."""
     if eps <= 0:
         raise DomainError("eta_minus: eps must be positive")
     import numpy as np
 
-    const, arcs = _coerce_arcs(F)
+    const, arcs = _coerce_arcs(F, "eta_minus")
     if const is not None:
-        return EvaluableBoundary(lambda th: np.full(np.shape(th), 1.0 if const else 0.0))
-    arcs = _sorted_disjoint(arcs, "eta_minus")
+        return lambda th: np.full(np.shape(th), 1.0 if const else 0.0)
     gaps = [Arc(a.end, b.start) for a, b in zip(arcs, arcs[1:] + arcs[:1])]
     dist = _dist_to_arcs_fn(gaps)
-    return EvaluableBoundary(lambda th: np.minimum(dist(th) / eps, 1.0))
+    return lambda th: np.minimum(dist(th) / eps, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # discrete convolution
 
-class DiscreteConvolution(EvaluableBoundary):
-    """Smoothing of boundary data by locally averaged hat functions.
+class DiscreteConvolution:
+    """Smoothing of piecewise-constant data by locally averaged hat functions.
 
     Centers are ``n_centers`` evenly spaced angles with spacing at most
-    ``2*eps/5``; each carries the average of the data over the arc of angular
-    half-width ``eps`` about it, blended by a piecewise-linear partition of
-    unity whose hats are supported on arcs of half-width ``2*eps``.
+    ``2*eps/5``; each carries the exact average of the data over the arc of
+    angular half-width ``eps`` about it, blended by a piecewise-linear
+    partition of unity whose hats are supported on arcs of half-width ``2*eps``.
     """
 
-    def __init__(self, data: BoundaryData, eps: float):
+    def __init__(self, data: PiecewiseConstantBoundary, eps: float):
         if not (0.0 < eps < math.pi / 4):
             raise DomainError("discrete_convolution: eps must lie in (0, pi/4)")
+        if not isinstance(data, PiecewiseConstantBoundary):
+            raise DomainError("discrete_convolution: data must be piecewise constant")
         import numpy as np
 
         self.eps = float(eps)
         self.n_centers = math.ceil(TAU / (2 * eps / 5))
         self.spacing = TAU / self.n_centers
         self.centers = np.arange(self.n_centers) * self.spacing
-        lo = self.centers - eps
-        hi = self.centers + eps
-        if isinstance(data, PiecewiseConstantBoundary):
-            sums = data.integral_over(lo, hi)
-        else:
-            K = 129
-            offs = (np.arange(K) + 0.5) * (2 * eps / K)
-            nodes = lo[:, None] + offs[None, :]
-            sums = data.value_at_many(nodes).mean(axis=1) * (2 * eps)
-        self.averages = sums / (2 * eps)
+        self.averages = data.integral_over(self.centers - eps, self.centers + eps) / (2 * eps)
         self._window = int(math.ceil(2 * eps / self.spacing)) + 1
-        super().__init__(self._evaluate)
 
     def _hat_weights(self, theta: np.ndarray):
         import numpy as np
@@ -504,7 +448,7 @@ class DiscreteConvolution(EvaluableBoundary):
         psi = np.maximum(1.0 - d / (2 * self.eps), 0.0)
         return psi, idx % self.n_centers
 
-    def _evaluate(self, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
         psi, idx = self._hat_weights(theta)
         s = psi.sum(axis=-1)
         return (psi * self.averages[idx]).sum(axis=-1) / s
@@ -524,17 +468,17 @@ def _project_indices(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def quantize(
-    f: BoundaryData,
+    f: Callable[[np.ndarray], np.ndarray],
     levels: Sequence[float],
     resolution: int = 8192,
-    _retried: bool = False,
 ) -> PiecewiseConstantBoundary:
     """Pointwise projection of ``f`` onto the given levels.
 
-    Piecewise-constant inputs are projected exactly.  Evaluable inputs are
-    sampled on a uniform grid and every level crossing is located by bisection
-    to angular tolerance 1e-12; an offset-grid probe verifies the result and
-    triggers one refined retry (with a warning) if a feature was missed.
+    Piecewise-constant inputs are projected exactly.  Other boundary functions
+    are sampled on a uniform grid of ``resolution`` points and every level
+    crossing is located by bisection to angular tolerance 1e-12; an
+    offset-grid probe verifies the result and triggers one retry on a grid
+    four times finer (with a warning) if a feature was missed.
     """
     import numpy as np
 
@@ -543,66 +487,63 @@ def quantize(
         raise DomainError("quantize: need at least one level")
     if np.any(np.diff(lv) <= 0):
         raise DomainError("quantize: levels must be strictly increasing")
+    if not isinstance(resolution, int) or resolution <= 0:
+        raise DomainError(f"quantize: resolution must be a positive integer, got {resolution!r}")
 
     if isinstance(f, PiecewiseConstantBoundary):
-        idx = _project_indices(np.asarray(f.values), lv)
-        if f.is_constant:
-            return PiecewiseConstantBoundary.constant(lv[idx[0]])
-        return PiecewiseConstantBoundary(f.breakpoints, lv[idx])
+        return PiecewiseConstantBoundary(f.breakpoints, lv[_project_indices(np.asarray(f.values), lv)])
 
-    h = TAU / resolution
-    grid = np.arange(resolution) * h
-    gidx = _project_indices(f.value_at_many(grid), lv)
+    for refined in (False, True):
+        h = TAU / resolution
+        grid = np.arange(resolution) * h
+        gidx = _project_indices(f(grid), lv)
 
-    # locate crossings between adjacent grid points (cyclically): a step
-    # from level index a crosses the midpoint threshold between t and
-    # t + step for t = a, a + step, ..., in that order
-    nxt = np.roll(gidx, -1)
-    js = np.flatnonzero(gidx != nxt)
-    count = np.abs(nxt[js] - gidx[js])
-    jj = np.repeat(js, count)
-    steps = np.sign(nxt[jj] - gidx[jj])
-    t = gidx[jj] + steps * (np.arange(jj.size) - np.repeat(np.cumsum(count) - count, count))
-    if not jj.size:
-        result = PiecewiseConstantBoundary.constant(lv[gidx[0]])
-    else:
-        lo = grid[jj]
-        hi = grid[jj] + h
-        thr = (lv[:-1] + lv[1:])[np.where(steps == 1, t, t - 1)] / 2.0
-        s_lo = f.value_at_many(lo) < thr
-        while float(np.max(hi - lo)) > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            below = f.value_at_many(mid) < thr
-            take_lo = below == s_lo
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
-        cross = 0.5 * (lo + hi)
+        # locate crossings between adjacent grid points (cyclically): a step
+        # from level index a crosses the midpoint threshold between t and
+        # t + step for t = a, a + step, ..., in that order
+        nxt = np.roll(gidx, -1)
+        js = np.flatnonzero(gidx != nxt)
+        count = np.abs(nxt[js] - gidx[js])
+        jj = np.repeat(js, count)
+        steps = np.sign(nxt[jj] - gidx[jj])
+        t = gidx[jj] + steps * (np.arange(jj.size) - np.repeat(np.cumsum(count) - count, count))
+        if not jj.size:
+            result = PiecewiseConstantBoundary.constant(lv[gidx[0]])
+        else:
+            lo = grid[jj]
+            hi = grid[jj] + h
+            thr = (lv[:-1] + lv[1:])[np.where(steps == 1, t, t - 1)] / 2.0
+            s_lo = f(lo) < thr
+            while float(np.max(hi - lo)) > BISECT_TOL:
+                mid = 0.5 * (lo + hi)
+                below = f(mid) < thr
+                take_lo = below == s_lo
+                lo = np.where(take_lo, mid, lo)
+                hi = np.where(take_lo, hi, mid)
+            cross = 0.5 * (lo + hi)
 
-        # assemble: sort crossings, track the level index after each; the
-        # crossings of one jump over several thresholds bisect to one angle,
-        # which becomes one breakpoint carrying the last value
-        order = np.argsort(cross, kind="stable")
-        bps: List[Angle] = []
-        vals: List[float] = []
-        current = int(gidx[0])
-        for pos, step in zip(cross[order], steps[order].tolist()):
-            current += step
-            bp = Angle.of_radians(Fraction(float(pos)))
-            if bps and bps[-1] == bp:
-                del bps[-1], vals[-1]
-            bps.append(bp)
-            vals.append(float(lv[current]))
-        result = PiecewiseConstantBoundary(bps, vals)
+            # assemble: sort crossings, track the level index after each; the
+            # crossings of one jump over several thresholds bisect to one angle,
+            # which becomes one breakpoint carrying the last value
+            order = np.argsort(cross, kind="stable")
+            bps: List[Angle] = []
+            vals: List[float] = []
+            current = int(gidx[0])
+            for pos, step in zip(cross[order], steps[order].tolist()):
+                current += step
+                bp = Angle.of_radians(Fraction(float(pos)))
+                if bps and bps[-1] == bp:
+                    del bps[-1], vals[-1]
+                bps.append(bp)
+                vals.append(float(lv[current]))
+            result = PiecewiseConstantBoundary(bps, vals)
 
-    probe = grid + 0.5 * h
-    want = lv[_project_indices(f.value_at_many(probe), lv)]
-    got = result.value_at_many(probe)
-    if np.any(want != got):
-        if not _retried:
-            warnings.warn(
-                "quantize: grid resolution missed a feature; retrying refined",
-                RuntimeWarning,
-            )
-            return quantize(f, levels, resolution=resolution * 4, _retried=True)
-        warnings.warn("quantize: unresolved feature after refinement", RuntimeWarning)
+        probe = grid + 0.5 * h
+        if np.array_equal(lv[_project_indices(f(probe), lv)], result(probe)):
+            break
+        if refined:
+            warnings.warn("quantize: unresolved feature after refinement", RuntimeWarning)
+        else:
+            warnings.warn("quantize: grid resolution missed a feature; retrying refined", RuntimeWarning)
+            resolution *= 4
     return result

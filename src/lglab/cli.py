@@ -348,8 +348,19 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    # a token float() reads, such as -1e-3 or -inf, is a value: argparse alone
+    # reads only -N and -N.N as negative numbers, and the rest as options
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lglab", description=__doc__.splitlines()[0])
+    p = _Parser(prog="lglab", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"lglab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 

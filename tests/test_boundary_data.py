@@ -8,7 +8,6 @@ import pytest
 from lglab.circle_geometry import Angle, Arc, DomainError
 from lglab.boundary_data import (
     DiscreteConvolution,
-    EvaluableBoundary,
     PiecewiseConstantBoundary,
     build_fn,
     build_gn,
@@ -16,6 +15,7 @@ from lglab.boundary_data import (
     cantor_stage,
     eta_minus,
     eta_plus,
+    opposite_caps,
     quantize,
 )
 from helpers import abs_integral, convolution_abs_integral, integral, kept_total, partition_sum, shifted
@@ -102,9 +102,9 @@ class TestEvaluation:
         assert caps.value_at(_pi("1/4")) == 1.0
         assert caps.value_at(_pi("3/4")) == 0.0
 
-    def test_value_at_many_matches_value_at(self, caps):
+    def test_call_matches_value_at(self, caps):
         th = np.linspace(0.0, math.tau, 37)
-        many = caps.value_at_many(th)
+        many = caps(th)
         one = [caps.value_at(float(t)) for t in th]
         assert np.array_equal(many, one)
 
@@ -209,20 +209,20 @@ class TestErosionDilation:
     def test_eta_plus_profile(self):
         eps = 0.05
         eta = eta_plus(self.F, eps)
-        assert eta.value_at(float(_pi("1/2").radians)) == 1.0
+        assert eta([_pi("1/2").radians])[0] == 1.0
         # one eps outside the support the ramp has fully decayed
         gap_mid = (_pi("3/4").radians + _pi("9/8").radians) / 2
-        assert eta.value_at(float(gap_mid)) == 0.0
+        assert eta([gap_mid])[0] == 0.0
         edge = _pi("3/4").radians + eps / 2
-        assert 0.0 < eta.value_at(float(edge)) < 1.0
+        assert 0.0 < eta([edge])[0] < 1.0
 
     def test_eta_minus_profile(self):
         eps = 0.05
         eta = eta_minus(self.F, eps)
-        assert eta.value_at(float(_pi("1/2").radians)) == 1.0
-        assert eta.value_at(float(_pi("3/4").radians)) == 0.0
+        assert eta([_pi("1/2").radians])[0] == 1.0
+        assert eta([_pi("3/4").radians])[0] == 0.0
         inside = _pi("3/4").radians - eps / 2
-        assert 0.0 < eta.value_at(float(inside)) < 1.0
+        assert 0.0 < eta([inside])[0] < 1.0
 
     @pytest.mark.parametrize("ramp", [eta_plus, eta_minus])
     @pytest.mark.parametrize(
@@ -270,8 +270,8 @@ class TestExactSorting:
         # wrong neighbours, which puts the middle of Y in a gap
         mid_y = self.S.radians + 0.5
         for arcs in ([self.Y, self.X, self.Z], [self.X, self.Y, self.Z]):
-            assert eta_minus(arcs, 0.05).value_at(mid_y) == 1.0
-            assert eta_plus(arcs, 0.05).value_at(mid_y) == 1.0
+            assert eta_minus(arcs, 0.05)([mid_y])[0] == 1.0
+            assert eta_plus(arcs, 0.05)([mid_y])[0] == 1.0
 
     def test_from_arcs_and_constructor_sort_exactly(self):
         data = PCB.from_arcs([self.Y, self.Z, self.X])
@@ -298,8 +298,13 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize(PCB.constant(0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("resolution", [0, -5, 2.5, "8192"])
+    def test_resolution_validation(self, resolution):
+        with pytest.raises(DomainError, match="resolution"):
+            quantize(np.cos, (-1.0, 1.0), resolution=resolution)
+
     def test_evaluable_crossing_location(self):
-        fn = EvaluableBoundary(lambda th: np.cos(th))
+        fn = np.cos
         q = quantize(fn, (-1.0, 1.0), resolution=512)
         assert len(q.breakpoints) == 2
         crossings = sorted(b.radians for b in q.breakpoints)
@@ -310,9 +315,7 @@ class TestQuantize:
         # within one grid cell the ramp climbs 0 -> 5 near 1 rad and falls
         # back near 4 rad; every midpoint threshold is crossed once each way,
         # in the order the ramp passes it
-        ramp = EvaluableBoundary(
-            lambda th: 5 * np.clip((th - 1.0) * 4000, 0, 1) - 5 * np.clip((th - 4.0) * 3000, 0, 1)
-        )
+        ramp = lambda th: 5 * np.clip((th - 1.0) * 4000, 0, 1) - 5 * np.clip((th - 4.0) * 3000, 0, 1)
         q = quantize(ramp, tuple(float(v) for v in range(6)), resolution=256)
         assert q.values == (1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0)
         x = [b.radians for b in q.breakpoints]
@@ -323,24 +326,22 @@ class TestQuantize:
 
     def test_jump_over_several_levels_is_one_breakpoint(self):
         # each jump crosses two or three midpoint thresholds at one angle
-        steps = EvaluableBoundary(lambda th: np.where(th < 1.0, 0.0, np.where(th < 3.0, 9.0, 3.0)))
+        steps = lambda th: np.where(th < 1.0, 0.0, np.where(th < 3.0, 9.0, 3.0))
         q = quantize(steps, (0.0, 3.0, 4.5, 9.0))
         assert q.values == (9.0, 3.0, 0.0)
         assert [b.radians for b in q.breakpoints] == pytest.approx([1.0, 3.0, math.tau], abs=1e-9)
 
     def test_jumps_mixed_with_smooth_crossings(self):
-        g = EvaluableBoundary(lambda th: np.floor(4 * np.sin(3 * th) ** 2 + 3 * (th > 2)))
+        g = lambda th: np.floor(4 * np.sin(3 * th) ** 2 + 3 * (th > 2))
         q = quantize(g, tuple(float(v) for v in range(8)))
         th = np.linspace(0.0, math.tau, 4001)[:-1] + 1e-4
-        assert np.array_equal(q.value_at_many(th), g(th))
+        assert np.array_equal(q(th), g(th))
         jump = [k for k, b in enumerate(q.breakpoints) if abs(b.radians - 2.0) < 1e-9]
         assert len(jump) == 1
         assert q.values[jump[0]] - q.values[jump[0] - 1] == 3.0
 
     def test_missed_feature_warns_and_recovers(self):
-        spike = EvaluableBoundary(
-            lambda th: ((th > 2.99) & (th < 3.01)).astype(float)
-        )
+        spike = lambda th: ((th > 2.99) & (th < 3.01)).astype(float)
         with pytest.warns(RuntimeWarning, match="missed a feature"):
             q = quantize(spike, (0.0, 1.0), resolution=64)
         assert q.value_at(3.0) == 1.0
@@ -357,14 +358,19 @@ class TestDiscreteConvolution:
         eps = 0.01
         conv = DiscreteConvolution(caps, eps=eps)
         th = np.array([math.pi / 2, math.pi, 3 * math.pi / 2, 0.0])
-        assert np.max(np.abs(conv.value_at_many(th) - caps.value_at_many(th))) < 1e-12
+        assert np.max(np.abs(conv(th) - caps(th))) < 1e-12
 
     def test_ramp_is_inside_unit_interval(self, caps):
         conv = DiscreteConvolution(caps, eps=0.05)
         th = np.linspace(0.0, math.tau, 4001)
-        vals = conv.value_at_many(th)
+        vals = conv(th)
         assert np.all(vals >= -1e-12)
         assert np.all(vals <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("data", [np.cos, eta_plus(opposite_caps(), 0.1)], ids=["function", "ramp"])
+    def test_rejects_data_not_piecewise_constant(self, data):
+        with pytest.raises(DomainError, match="piecewise constant"):
+            DiscreteConvolution(data, eps=0.05)
 
     def test_integral_roughly_preserved(self, caps):
         conv = DiscreteConvolution(caps, eps=0.03)

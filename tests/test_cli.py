@@ -372,14 +372,24 @@ class TestTrace:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
-    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "-Infinity", "-nan", "-NaN"])
     def test_non_finite_angle_structured_error(self, caps_path, angle):
-        code, out, err = run(["trace", caps_path, "--", angle])
-        assert code == 1
-        assert out == ""
-        diag = json.loads(err)
-        assert diag["error"] == "DomainError"
-        assert diag["message"] == f"trace angle must be finite, got {float(angle)}"
+        for argv in (["trace", caps_path, "--", angle], ["trace", caps_path, angle]):
+            code, out, err = run(argv)
+            assert code == 1
+            assert out == ""
+            diag = json.loads(err)
+            assert diag["error"] == "DomainError"
+            assert diag["message"] == f"trace angle must be finite, got {float(angle)}"
+
+    @pytest.mark.parametrize("angle", ["-1e-3", "-2E0", "-1.", "-.5", "-1_0"])
+    def test_negative_angle_spellings(self, caps_path, angle):
+        # argparse alone reads all but -.5 as options, which makes a usage error
+        want = run(["trace", caps_path, "--", angle])
+        assert want[0] == 0
+        assert run(["trace", caps_path, angle]) == want
+        flags = ["--levels", "3"]
+        assert run(["trace", caps_path, angle, *flags]) == run(["trace", caps_path, *flags, "--", angle])
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_structured_error(self, caps_path, samples):
@@ -432,6 +442,11 @@ def _python(code, *args):
 @pytest.mark.parametrize("module", ["lglab", "lglab.cli"])
 def test_import_loads_no_numpy(module):
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _python(code).strip() == "[]"
+
+
+def test_import_defers_analysis_and_level_stack():
+    code = "import sys, lglab; print([m for m in ('lglab.analysis', 'lglab.level_stack') if m in sys.modules])"
     assert _python(code).strip() == "[]"
 
 
