@@ -1,6 +1,6 @@
 """Layer benchmark of the solver: ``solve_binary`` on large inputs, the
-exhaustive ``enumerate_optimal`` at its 16-transition cap, and the data path
-in front of them.
+exhaustive ``enumerate_optimal`` at its 16-transition cap, the data path
+in front of them, and the pointwise labels of a solution.
 
     python3 scripts/bench_solve.py [--tree LABEL=SRC ...] [--out BENCH_solve.json]
 
@@ -23,12 +23,16 @@ M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
 ``oracle-small`` benchmark workload), ``oracle16q8`` (all 16 points) and
 ``oracle24q12`` (all 24 points, above ``SCALAR_FILL_MAX``, where the
 DP takes its numpy fill and enumeration is refused, so only the two solves
-run).  The call is chosen by the instance name.  Two more instances time a
-whole fresh interpreter instead of one call in it: ``import`` runs
-``python -c "import lglab"`` and ``solvecaps`` runs ``lglab solve`` on the
+run).  ``evalcut6`` times ``evaluate_points`` of the stage-6 cut
+configuration (``analysis.cut_config(6)``, 126 transitions) on 200k
+``disk_samples``, the sampled labels that ``l1_distance`` and ``trace``
+read.  The call is chosen by the instance name.  Three more instances time
+a whole fresh interpreter instead of one call in it: ``import`` runs
+``python -c "import lglab"``, ``solvecaps`` runs ``lglab solve`` on the
 opposite caps (written once by the first tree's ``lglab generate
-notconverge``), so both include the interpreter's start and the package
-import, and ``solvecaps`` also the solve and its report.
+notconverge``) and ``verifynonlin`` runs ``lglab verify nonlinearity``,
+whose limit traces evaluate the cut configurations, so all three include
+the interpreter's start and the package import.
 
 The first call in each process is cold: it pays first-use costs such as
 numpy's call caches and the matching tables, but not numpy's import, which
@@ -38,7 +42,7 @@ times the same call again, warm.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
-and of the peak RSS, or of the process time (``wall_s``) for the two
+and of the peak RSS, or of the process time (``wall_s``) for the three
 process instances, the raw runs, the host, and each tree's ``src/`` line
 count.
 """
@@ -60,11 +64,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
-             "load200", "oracle8q12", "oracle16q8", "oracle24q12", "import", "solvecaps")
-PROCESS_INSTANCES = ("import", "solvecaps")
+             "load200", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
+             "verifynonlin")
+PROCESS_INSTANCES = ("import", "solvecaps", "verifynonlin")
 CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
+EVAL_SAMPLES = 200_000
 REPEATS = 10
 
 
@@ -76,9 +82,9 @@ def build(name: str):
     from lglab.boundary_data import PiecewiseConstantBoundary, build_gn
     from lglab.circle_geometry import Angle
 
-    if name.startswith("gn"):
-        return build_gn(int(name[2:]))
     m, q = re.fullmatch(r"[a-z]+(\d+)(?:q(\d+))?", name).groups()
+    if name.startswith(("gn", "evalcut")):
+        return build_gn(int(m))
     m, q = int(m), int(q or LATTICE_Q)
     rng = random.Random(LATTICE_SEED + m)
     ks = sorted(rng.sample(range(2 * q), m))
@@ -91,25 +97,42 @@ def child(name: str) -> None:
     """Build ``name``, run its call once cold, then once more on a freshly
     built data object, and print both times and the cold call's memory as
     JSON with a check value: the energy of the solution or of the first
-    optimum, and for a load the ``fsum`` of the transition radians."""
+    optimum, for a load the ``fsum`` of the transition radians, and for an
+    evaluation the number of points labelled 1."""
     import math
 
     import numpy  # noqa: F401  loaded first, so the cold call times no import
 
     from lglab.boundary_data import PiecewiseConstantBoundary
-    from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
+    from lglab.chord_solver import (
+        ENUMERATION_CAP,
+        ChordConfiguration,
+        enumerate_optimal,
+        solve_binary,
+        transitions_of,
+    )
+    from lglab.level_stack import disk_samples
 
     load = name.startswith("load")
+    evaluate = name.startswith("evalcut")
 
     def fresh():
         """A new data object, so no fill kept on an earlier one is reused,
-        and for a load its JSON document."""
+        and for a load its JSON document; for an evaluation a new cut
+        configuration (consecutive transitions paired, as ``cut_config``
+        pairs them) and the sample points."""
         data = build(name)
+        if evaluate:
+            trans, base = transitions_of(data)
+            pairs = [(i, i + 1) for i in range(0, len(trans), 2)]
+            return ChordConfiguration(trans, pairs, base), disk_samples(EVAL_SAMPLES)
         return data, json.loads(json.dumps(data.to_json_dict())) if load else None
 
-    def call(data, doc):
+    def call(data, arg):
+        if evaluate:
+            return data.evaluate_points(arg)
         if load:
-            return transitions_of(PiecewiseConstantBoundary.from_json_dict(doc))[0]
+            return transitions_of(PiecewiseConstantBoundary.from_json_dict(arg))[0]
         if name.startswith("oracle"):
             # above its cap enumeration is refused, and the minimal solve is checked
             enum = enumerate_optimal(data)[0] if len(data.breakpoints) <= ENUMERATION_CAP else None
@@ -124,6 +147,10 @@ def child(name: str) -> None:
     out = call(*args)
     solve_s = time.perf_counter() - t
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if evaluate:
+        transitions, check = len(args[0].transitions), float(out.sum())
+    else:
+        transitions, check = len(out if load else out.transitions), math.fsum(out.u) if load else out.energy
     args = fresh()
     t = time.perf_counter()
     call(*args)
@@ -133,8 +160,8 @@ def child(name: str) -> None:
         "warm_s": warm_s,
         "peak_rss_mb": peak / 1024.0,
         "solve_rss_mb": (peak - before) / 1024.0,
-        "transitions": len(out if load else out.transitions),
-        "energy": (math.fsum(out.u) if load else out.energy).hex(),
+        "transitions": transitions,
+        "energy": check.hex(),
     }))
 
 
@@ -148,10 +175,14 @@ def run_child(src: Path, name: str) -> dict:
 
 
 def run_process(src: Path, name: str, caps: Path) -> dict:
-    """Time one fresh interpreter that imports ``lglab`` (``import``) or
-    runs ``lglab solve`` on the caps file (``solvecaps``); the check value
-    is the reported energy."""
-    argv = ["-c", "import lglab"] if name == "import" else ["-c", CLI_SHIM, "solve", str(caps)]
+    """Time one fresh interpreter that imports ``lglab`` (``import``), runs
+    ``lglab solve`` on the caps file (``solvecaps``) or runs ``lglab verify
+    nonlinearity`` (``verifynonlin``); the check value is the reported
+    energy, or the value of the last verdict, the worst sector average of
+    the limit's traces."""
+    argv = {"import": ["-c", "import lglab"],
+            "solvecaps": ["-c", CLI_SHIM, "solve", str(caps)],
+            "verifynonlin": ["-c", CLI_SHIM, "verify", "nonlinearity"]}[name]
     env = dict(os.environ, PYTHONPATH=str(src))
     t = time.perf_counter()
     out = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
@@ -159,6 +190,8 @@ def run_process(src: Path, name: str, caps: Path) -> dict:
     if name == "import":
         return {"wall_s": wall_s, "transitions": 0, "energy": None}
     report = json.loads(out.stdout)
+    if name == "verifynonlin":
+        return {"wall_s": wall_s, "transitions": 0, "energy": float(report["verdicts"][-1]["value"]).hex()}
     return {"wall_s": wall_s, "transitions": len(report["transition_angles"]),
             "energy": float(report["energy"]).hex()}
 
@@ -237,8 +270,9 @@ def main(argv=None) -> int:
                     print(f"repeat {r} {n} {label}: {note}", file=sys.stderr, flush=True)
 
     report = {
-        "benchmark": ("solve_binary (minimal mode), enumerate_optimal or a data path, one cold and one warm call per "
-                      "fresh process; or a whole fresh process importing lglab or solving the opposite caps"),
+        "benchmark": ("solve_binary (minimal mode), enumerate_optimal, a data path or evaluate_points, one cold and "
+                      "one warm call per fresh process; or a whole fresh process importing lglab, solving the "
+                      "opposite caps or verifying nonlinearity"),
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),

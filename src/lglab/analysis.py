@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from .chord_solver import (
     solve_binary,
     transitions_of,
 )
-from .level_stack import DEFAULT_SEED, l1_distance
+from .level_stack import DEFAULT_SEED, interior_radius, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
 
@@ -219,46 +220,24 @@ def cap_config(n: int) -> ChordConfiguration:
     return _consecutive_config(build_fn(n))
 
 
+@lru_cache(maxsize=None)
 def cut_config(n: int) -> ChordConfiguration:
-    """Stage-n complement solution built directly: chords span removed arcs."""
+    """Stage-n complement solution built directly, memoized: chords span removed arcs."""
     return _consecutive_config(build_gn(n))
 
 
-class VLimitFunction:
-    """Pointwise limit of the complement solutions: 0 inside any removed-arc
-    segment, 1 elsewhere in the disk.
-
-    Stage ell segments only reach inward to radius cos(4^-ell / 2), so the
-    stage loop stops as soon as every query point is deeper than that.
-    """
-
-    def __init__(self, max_stage: int = 32):
-        self.max_stage = max_stage
-        self._stages: List[List[Tuple[float, float, float]]] = []
-
-    def _stage_tests(self, ell: int) -> List[Tuple[float, float, float]]:
-        while len(self._stages) < ell:
-            nxt = len(self._stages) + 1
-            arcs = cantor_stage(nxt).removed_by_stage[nxt - 1]
-            tests = []
-            for arc in arcs:
-                a = arc.start.normalized().radians
-                m = arc.measure_radians
-                mid = a + 0.5 * m
-                tests.append((math.cos(mid), math.sin(mid), math.cos(0.5 * m)))
-            self._stages.append(tests)
-        return self._stages[ell - 1]
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        vals = np.ones(len(pts))
-        rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) if len(pts) else 0.0
-        for ell in range(1, self.max_stage + 1):
-            if math.cos(4.0 ** (-ell) / 2.0) > rmax:
-                break
-            for ux, uy, cos_half in self._stage_tests(ell):
-                vals[pts[:, 0] * ux + pts[:, 1] * uy >= cos_half] = 0.0
-        return vals
+def v_limit(pts: np.ndarray) -> np.ndarray:
+    """Pointwise limit of the complement solutions at points strictly inside
+    the disk: 0 inside any removed-arc segment, 1 elsewhere.  A stage-ell
+    segment reaches inward only to radius cos(4^-ell / 2), a cosine that
+    rounds to 1.0 from stage 13 on, so ``cut_config`` of the deepest stage
+    that reaches the points has the limit's labels there."""
+    pts = np.asarray(pts, dtype=float)
+    rmax = interior_radius(pts)
+    n = 0
+    while math.cos(4.0 ** (-(n + 1)) / 2.0) <= rmax:
+        n += 1
+    return cut_config(n).evaluate_points(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -414,26 +393,19 @@ def nonlin_demo(n_max: int, seed: int = DEFAULT_SEED) -> ScenarioReport:
         for n in range(1, n_max)
     ]
     rep.details["l1_consecutive"] = gaps
-    ok = all(b < a for a, b in zip(gaps, gaps[1:])) and (not gaps or gaps[-1] < 1e-6)
-    rep.add("consecutive L1 gaps vanish", gaps[-1] if gaps else 0.0, 1e-6, ok)
-    if n_max >= 2:
-        est = l1_distance(
-            cut_config(1).evaluate_points,
-            cut_config(2).evaluate_points,
-            samples=200_000,
-            seed=seed,
-        )
-        ok = abs(est.value - gaps[0]) <= 4.0 * est.stderr + 1e-6
-        rep.add("Monte Carlo agrees with exact stage-1 gap", est.value, 4.0 * est.stderr + 1e-6, ok)
-    v = VLimitFunction()
-    est = trace(v, math.pi / 2.0, seed=seed)
+    ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-6
+    rep.add("consecutive L1 gaps vanish", gaps[-1], 1e-6, ok)
+    est = l1_distance(cut_config(1).evaluate_points, cut_config(2).evaluate_points, seed=seed)
+    ok = abs(est.value - gaps[0]) <= 4.0 * est.stderr + 1e-6
+    rep.add("Monte Carlo agrees with exact stage-1 gap", est.value, 4.0 * est.stderr + 1e-6, ok)
+    est = trace(v_limit, math.pi / 2.0, seed=seed)
     rep.add("limit trace at removed-arc center", est.limit, 1e-12, est.limit == 0.0)
-    est = trace(v, 3.0 * math.pi / 2.0, seed=seed)
+    est = trace(v_limit, 3.0 * math.pi / 2.0, seed=seed)
     rep.add("limit trace far from the data interval", est.limit, 1e-12, est.limit == 1.0)
     sector_ok = True
     worst = 1.0
     for ang in _cantor_endpoint_angles(6)[:8]:
-        est = trace(v, ang, r0=8e-4, seed=seed)
+        est = trace(v_limit, ang, r0=8e-4, seed=seed)
         nondec = all(b >= a - 0.02 for a, b in zip(est.averages, est.averages[1:]))
         sector_ok = sector_ok and nondec and est.averages[-1] >= 0.9
         worst = min(worst, est.averages[-1])

@@ -180,20 +180,16 @@ class ChordConfiguration:
 
     # -- pointwise labels ------------------------------------------------
     @cached_property
-    def _chord_tests(self):
-        """Per chord: endpoint points, and the orientation sign of its arc side."""
+    def _segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per chord (i, j): the unit normal at the arc midpoint 0.5 (u[i] + u[j])
+        and cos(0.5 (u[j] - u[i])).  A point p lies in the segment on the arc
+        side exactly when p . normal > cos; a label flips once per segment."""
         import numpy as np
 
-        tests = []
-        u = self.transitions.radians
-        for i, j in self.matching:
-            p = np.array(self.transitions[i].angle.point())
-            q = np.array(self.transitions[j].angle.point())
-            mid = 0.5 * (u[i] + u[j])
-            r = np.array([math.cos(mid), math.sin(mid)])
-            ref = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-            tests.append((p, q - p, 1.0 if ref > 0 else -1.0))
-        return tests
+        u = self.transitions.u
+        i, j = np.array(self.matching, dtype=np.intp).reshape(-1, 2).T
+        mid = 0.5 * (u[i] + u[j])
+        return np.column_stack([np.cos(mid), np.sin(mid)]), np.cos(0.5 * (u[j] - u[i]))
 
     def evaluate_points(self, pts: np.ndarray) -> np.ndarray:
         """Labels (0/1) at planar points, shape (n, 2).  Points on a chord get
@@ -202,9 +198,8 @@ class ChordConfiguration:
 
         pts = np.asarray(pts, dtype=float)
         flip = np.zeros(len(pts), dtype=np.int64)
-        for p, d, ref in self._chord_tests:
-            cross = d[0] * (pts[:, 1] - p[1]) - d[1] * (pts[:, 0] - p[0])
-            flip += (cross * ref > 0)
+        for n, c in zip(*self._segments):
+            flip += pts @ n > c
         return (self.base_value + flip) % 2
 
     def __eq__(self, other) -> bool:
@@ -543,14 +538,14 @@ def _near_optimal(terms: np.ndarray) -> Tuple[List[int], List[float]]:
     return [cols[k] for k in kept], [energies[k] for k in kept]
 
 
-def enumerate_optimal(data, cap: int = ENUMERATION_CAP) -> Tuple[ChordConfiguration, ...]:
+def enumerate_optimal(data) -> Tuple[ChordConfiguration, ...]:
     """All energy-optimal configurations (within 1e-12 relative), smallest
     area first.  Exhaustive over the Catalan family; refuses more than
-    ``cap`` (default 16) transitions."""
+    ``ENUMERATION_CAP`` (16) transitions."""
     trans = transitions_of(data)[0]
     n = len(trans)
-    if n > cap:
-        raise DomainError(f"enumeration capped at {cap} transitions (got {n})")
+    if n > ENUMERATION_CAP:
+        raise DomainError(f"enumeration capped at {ENUMERATION_CAP} transitions (got {n})")
     import numpy as np
 
     # chord_length's own operations; its range check holds on sorted u

@@ -7,9 +7,11 @@ counting how many slices contain it.  The coarea formula turns the slice
 energies into the total variation of the stack.
 
 A disk function is any callable that takes an ``(n, 2)`` float array of
-points and returns ``n`` values: ``LevelSetStack`` itself, a configuration's
-``evaluate_points``, or a plain function.  ``l1_distance`` and
-``analysis.trace`` accept exactly that.
+points strictly inside the disk and returns ``n`` values: ``LevelSetStack``
+itself, a configuration's ``evaluate_points``, ``analysis.v_limit``, or a
+plain function.  ``l1_distance`` and ``analysis.trace`` accept exactly that.
+``LevelSetStack`` and ``v_limit`` reject any other point, NaN included,
+with the one guard ``interior_radius``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     return pts
 
 
+def interior_radius(pts: np.ndarray) -> float:
+    """Largest radius of an ``(n, 2)`` point array (0.0 for none); DomainError
+    unless every point lies strictly inside the disk, which NaN does not."""
+    import numpy as np
+
+    rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]), initial=0.0))
+    if not rmax < 1.0:
+        raise DomainError("evaluation points must lie strictly inside the disk")
+    return rmax
+
+
 class NestednessError(RuntimeError):
     """Consecutive superlevel slices failed to nest."""
 
@@ -115,8 +128,7 @@ class LevelSetStack:
         import numpy as np
 
         pts = np.asarray(pts, dtype=float)
-        if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= 1.0):
-            raise DomainError("evaluation points must lie strictly inside the disk")
+        interior_radius(pts)
         count = np.zeros(len(pts), dtype=np.int64)
         for sl in self.slices:
             count += sl.config.evaluate_points(pts)

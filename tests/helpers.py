@@ -87,6 +87,29 @@ def random_arc_union(
 
 
 # ---------------------------------------------------------------------------
+# chord side tests: the reference for ``ChordConfiguration.evaluate_points``
+
+def cross_product_labels(cfg: ChordConfiguration, pts: np.ndarray) -> np.ndarray:
+    """Labels (0/1) at planar points by one cross-product test per chord:
+    the base value flipped once per chord that has the point strictly on
+    its arc side, the side of the arc midpoint, with the chord's endpoints
+    from ``Angle.point()``."""
+    pts = np.asarray(pts, dtype=float)
+    flip = np.zeros(len(pts), dtype=np.int64)
+    u = cfg.transitions.radians
+    for i, j in cfg.matching:
+        p = np.array(cfg.transitions[i].angle.point())
+        q = np.array(cfg.transitions[j].angle.point())
+        mid = 0.5 * (u[i] + u[j])
+        r = np.array([math.cos(mid), math.sin(mid)])
+        d = q - p
+        ref = 1.0 if d[0] * (r[1] - p[1]) - d[1] * (r[0] - p[0]) > 0 else -1.0
+        cross = d[0] * (pts[:, 1] - p[1]) - d[1] * (pts[:, 0] - p[0])
+        flip += (cross * ref > 0)
+    return (cfg.base_value + flip) % 2
+
+
+# ---------------------------------------------------------------------------
 # segment parity: an independent oracle for ``ChordConfiguration.label_area``
 
 def segment_parity_area(cfg: ChordConfiguration) -> float:

@@ -19,7 +19,6 @@ from lglab.level_stack import l1_distance, solve_general
 from lglab import analysis
 from lglab.analysis import (
     ENERGY_THRESHOLD,
-    VLimitFunction,
     cantor_nonexistence_demo,
     cap_config,
     collect_trace_points,
@@ -36,6 +35,7 @@ from lglab.analysis import (
     trapezoid_check,
     u_energy,
     v_energy,
+    v_limit,
 )
 from helpers import random_arc_union, shifted
 
@@ -182,20 +182,36 @@ class TestCollectTracePoints:
 
 class TestVLimit:
     def test_center_and_cap_values(self):
-        v = VLimitFunction()
         pts = np.array([[0.0, 0.0], [0.0, -0.999], [0.0, 0.999]])
-        out = v(pts)
+        out = v_limit(pts)
         assert out[0] == 1.0  # far from every removed segment
         assert out[1] == 1.0  # opposite the Cantor window
         assert out[2] == 0.0  # inside the first removed segment
 
     def test_agrees_with_deep_cut_solution(self):
-        v = VLimitFunction()
         u8 = solve_binary(build_gn(8)).evaluate_points
         pts = np.array(
             [[math.cos(t) * r, math.sin(t) * r] for t in np.linspace(0, 6.2, 40) for r in (0.3, 0.9)]
         )
-        assert np.array_equal(v(pts), u8(pts))
+        assert np.array_equal(v_limit(pts), u8(pts))
+
+    @pytest.mark.parametrize("r", [1.0 - 1e-6, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
+    def test_agrees_with_stage_12_near_the_circle(self, r):
+        """Near the circle the limit needs deep stages: at these radii the
+        stage-12 solution has the limit's labels, some of them 0 (inside
+        removed segments) and some 1."""
+        th = np.linspace(math.pi / 2 - 0.5, math.pi / 2 + 0.5, 4001)
+        pts = r * np.column_stack([np.cos(th), np.sin(th)])
+        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 1.0]
+        assert len(pts) > 1000
+        want = cut_config(12).evaluate_points(pts)
+        assert np.array_equal(v_limit(pts), want)
+        assert 0 < np.count_nonzero(want == 0) < len(pts)
+
+    @pytest.mark.parametrize("point", [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [math.nan, 0.0]])
+    def test_rejects_points_not_strictly_inside(self, point):
+        with pytest.raises(DomainError, match="strictly inside the disk"):
+            v_limit(np.array([[0.0, 0.0], point]))
 
 
 class TestInequalities:

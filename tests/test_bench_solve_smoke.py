@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from helpers import fsum_enumeration
+from lglab.analysis import cut_config
 from lglab.boundary_data import opposite_caps
 from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
+from lglab.level_stack import disk_samples
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_solve", ROOT / "scripts" / "bench_solve.py")
@@ -22,7 +24,8 @@ bench_solve = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_solve)
 
 
-@pytest.mark.parametrize("name", ["oracle8q12", "oracle16q8", "oracle24q12", "load200", "lattice200"])
+@pytest.mark.parametrize("name", ["oracle8q12", "oracle16q8", "oracle24q12", "load200", "lattice200",
+                                  "evalcut6"])
 def test_child_prints_the_checked_energy(name):
     assert name in bench_solve.INSTANCES
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -37,6 +40,9 @@ def test_child_prints_the_checked_energy(name):
         assert want.hex() == fsum_enumeration(data)[0].energy.hex()  # every row summed exactly
     elif name.startswith("load"):
         want = math.fsum(trans.u)
+    elif name.startswith("evalcut"):
+        assert trans == cut_config(6).transitions
+        want = float(cut_config(6).evaluate_points(disk_samples(bench_solve.EVAL_SAMPLES)).sum())
     else:
         want = solve_binary(data).energy
     assert out["energy"] == want.hex()

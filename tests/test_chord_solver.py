@@ -21,7 +21,7 @@ from lglab.chord_solver import (
 )
 from lglab.analysis import cap_config, cut_config, random_binary_data
 from lglab.level_stack import disk_samples
-from helpers import segment_parity_area
+from helpers import cross_product_labels, segment_parity_area
 
 PCB = PiecewiseConstantBoundary
 
@@ -228,6 +228,23 @@ class TestEvaluation:
         u = solve_binary(caps).evaluate_points
         assert u(np.array([[0.0, 0.9]]))[0] == 1
 
+    def test_segment_table_matches_cross_product_predicate(self, caps):
+        """The segment test ``p . normal > cos`` labels every point as the
+        cross-product test against the chord's endpoints does, on Halton
+        points and on points within 1e-2 of the circle."""
+        rng = np.random.default_rng(20261020)
+        r = 1.0 - 1e-2 * rng.random(20000)
+        th = 2.0 * math.pi * rng.random(20000)
+        pts = np.concatenate([disk_samples(20000), np.column_stack([r * np.cos(th), r * np.sin(th)])])
+        configs = [solve_binary(caps, mode) for mode in ("minimal", "maximal")]
+        configs += [make(n) for make in (cap_config, cut_config) for n in range(7)]
+        data_rng = random.Random(20261020)
+        for _ in range(100):
+            data = random_binary_data(data_rng, max_pairs=12)
+            configs += [solve_binary(data, mode) for mode in ("minimal", "maximal")]
+        for cfg in configs:
+            assert np.array_equal(cfg.evaluate_points(pts), cross_product_labels(cfg, pts)), cfg
+
 
 class TestSolverAgainstEnumeration:
     def test_dp_equals_enumeration_on_randoms(self):
@@ -272,9 +289,11 @@ class TestSolverAgainstEnumeration:
         assert len(opts) == 2
         assert {o.matching for o in opts} == {((0, 1), (2, 3)), ((0, 3), (1, 2))}
 
-    def test_enumeration_cap(self, caps):
-        with pytest.raises(DomainError):
-            enumerate_optimal(caps, cap=1)
+    def test_enumeration_cap(self):
+        data = build_fn(4)
+        assert len(transitions_of(data)[0]) == 32
+        with pytest.raises(DomainError, match="capped at 16"):
+            enumerate_optimal(data)
 
 
 class TestRegionSubset:

@@ -125,6 +125,12 @@ class TestSolveGeneral:
         with pytest.raises(DomainError):
             stack(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.nan], [math.nan, math.nan]])
+    def test_evaluate_rejects_nan_points(self, caps, point):
+        stack = solve_general(caps)
+        with pytest.raises(DomainError, match="strictly inside the disk"):
+            stack(np.array([[0.0, 0.0], point]))
+
     def test_mode_passthrough(self, caps):
         lo = solve_general(caps, "minimal")
         hi = solve_general(caps, "maximal")
