@@ -17,7 +17,7 @@ pi/4096 lattice with 200, 1000 and 2000 transitions (``latticeM``).  The
 lattice: all 16 points of pi/8, where energies tie, and a seeded subset of
 pi/2048.  Two instances time the data path: ``load200`` reads the JSON of
 the 200-transition lattice with ``from_json_dict`` and builds its
-transitions with ``transitions_of``, and ``oracleMqQ`` runs
+transition view with ``transitions_of``, and ``oracleMqQ`` runs
 ``enumerate_optimal`` and both ``solve_binary`` modes on one data object of
 M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
 ``oracle-small`` benchmark workload), ``oracle16q8`` (all 16 points) and
@@ -97,20 +97,15 @@ def child(name: str) -> None:
     """Build ``name``, run its call once cold, then once more on a freshly
     built data object, and print both times and the cold call's memory as
     JSON with a check value: the energy of the solution or of the first
-    optimum, for a load the ``fsum`` of the transition radians, and for an
+    optimum, for a load the ``fsum`` of the breakpoint radians, and for an
     evaluation the number of points labelled 1."""
     import math
 
     import numpy  # noqa: F401  loaded first, so the cold call times no import
 
+    from lglab.analysis import _consecutive_config
     from lglab.boundary_data import PiecewiseConstantBoundary
-    from lglab.chord_solver import (
-        ENUMERATION_CAP,
-        ChordConfiguration,
-        enumerate_optimal,
-        solve_binary,
-        transitions_of,
-    )
+    from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
     from lglab.level_stack import disk_samples
 
     load = name.startswith("load")
@@ -123,16 +118,16 @@ def child(name: str) -> None:
         pairs them) and the sample points."""
         data = build(name)
         if evaluate:
-            trans, base = transitions_of(data)
-            pairs = [(i, i + 1) for i in range(0, len(trans), 2)]
-            return ChordConfiguration(trans, pairs, base), disk_samples(EVAL_SAMPLES)
+            return _consecutive_config(data), disk_samples(EVAL_SAMPLES)
         return data, json.loads(json.dumps(data.to_json_dict())) if load else None
 
     def call(data, arg):
         if evaluate:
             return data.evaluate_points(arg)
         if load:
-            return transitions_of(PiecewiseConstantBoundary.from_json_dict(arg))[0]
+            data = PiecewiseConstantBoundary.from_json_dict(arg)
+            transitions_of(data)  # for its side effect: the view kept on the data
+            return data
         if name.startswith("oracle"):
             # above its cap enumeration is refused, and the minimal solve is checked
             enum = enumerate_optimal(data)[0] if len(data.breakpoints) <= ENUMERATION_CAP else None
@@ -149,8 +144,10 @@ def child(name: str) -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if evaluate:
         transitions, check = len(args[0].transitions), float(out.sum())
+    elif load:
+        transitions, check = len(out.breakpoints), math.fsum(out._rad)
     else:
-        transitions, check = len(out if load else out.transitions), math.fsum(out.u) if load else out.energy
+        transitions, check = len(out.transitions), out.energy
     args = fresh()
     t = time.perf_counter()
     call(*args)

@@ -30,7 +30,6 @@ from .boundary_data import (
 from .chord_solver import (
     ChordConfiguration,
     Transition,
-    TransitionSet,
     enumerate_optimal,
     region_subset,
     solve_binary,
@@ -86,7 +85,6 @@ __all__ = [
     "ScenarioReport",
     "TraceEstimate",
     "Transition",
-    "TransitionSet",
     "Verdict",
     "build_fn",
     "build_gn",

@@ -37,12 +37,12 @@ from .boundary_data import (
 from .chord_solver import (
     ChordConfiguration,
     enumerate_optimal,
+    interior_radius,
     region_subset,
     select_optimal,
     solve_binary,
-    transitions_of,
 )
-from .level_stack import DEFAULT_SEED, interior_radius, l1_distance
+from .level_stack import DEFAULT_SEED, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
 
@@ -211,8 +211,7 @@ def v_energy(n: int) -> float:
 
 def _consecutive_config(data: PiecewiseConstantBoundary) -> ChordConfiguration:
     """The matching that pairs each transition with its cyclic neighbor."""
-    trans, base = transitions_of(data)
-    return ChordConfiguration(trans, tuple((i, i + 1) for i in range(0, len(trans), 2)), base)
+    return ChordConfiguration(data, tuple((i, i + 1) for i in range(0, len(data.breakpoints), 2)))
 
 
 def cap_config(n: int) -> ChordConfiguration:

@@ -42,7 +42,7 @@ class PiecewiseConstantBoundary:
     zero-length arcs are rejected, adjacent arcs with equal values merge.
     """
 
-    __slots__ = ("breakpoints", "values", "_rad", "_transitions")
+    __slots__ = ("breakpoints", "values", "_rad", "_transitions", "_fill")
 
     def __init__(self, breakpoints: Sequence[Angle], values: Sequence[float]):
         bps = [b.normalized() for b in breakpoints]
@@ -73,7 +73,8 @@ class PiecewiseConstantBoundary:
         self.breakpoints: Tuple[Angle, ...] = tuple(bps)
         self.values: Tuple[float, ...] = tuple(vals)
         self._rad: Tuple[float, ...] = tuple(rad)
-        self._transitions = None
+        self._transitions = None  # the chord solver's Transition view
+        self._fill = None  # and its untied matching, which serves both modes
 
     # -- constructors ---------------------------------------------------
     @classmethod

@@ -17,15 +17,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .circle_geometry import (
-    Angle,
-    DomainError,
-    chord_length,
-    strictly_increasing,
-)
+from .circle_geometry import Angle, DomainError, chord_length
 
 if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
     import numpy as np
@@ -43,68 +38,25 @@ class Transition:
     rising: bool
 
 
-class TransitionSet(tuple):
-    """Validated, immutable ccw transition tuple that also holds the value
-    across angle 0 (``base``), the normalized ``angles``, their float
-    ``radians`` as a tuple and, built on first use, as the read-only array
-    ``u``.  The constructor checks order (with ``strictly_increasing``),
-    alternation and base; ``transitions_of`` builds a data object's set
-    unchecked, and configurations share a set as it is.
-    """
-
-    def __new__(cls, transitions: Sequence[Transition], base: int) -> "TransitionSet":
-        self = super().__new__(cls, transitions)
-        angles = tuple(t.angle.normalized() for t in self)
-        u = [a.radians for a in angles]
-        if not strictly_increasing(angles, u):
-            raise DomainError("transitions must be strictly increasing in [0, 2*pi)")
-        # cyclic alternation, which also rules out an odd count
-        if any(a.rising == b.rising for a, b in zip(self, self[1:] + self[:1])):
-            raise DomainError("transitions must alternate rising/falling")
-        if base not in (0, 1):
-            raise DomainError("base value must be 0 or 1")
-        # the wrap arc holds value 1 exactly when the last transition is rising
-        if self and base != int(self[-1].rising):
-            raise DomainError("base value inconsistent with transition types")
-        return cls._of(self, int(base), angles, tuple(u))
-
-    @classmethod
-    def _of(cls, transitions, base: int, angles, radians: Tuple[float, ...]) -> "TransitionSet":
-        self = super().__new__(cls, transitions)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "radians", radians)
-        object.__setattr__(self, "_fill", None)  # what solve_binary shares between modes
-        return self
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        import numpy as np
-
-        u = np.array(self.radians, dtype=float)
-        u.flags.writeable = False
-        return u
-
-    def __setattr__(self, *_):
-        raise AttributeError("TransitionSet is immutable")
-
-    __delattr__ = __setattr__
-
-
-def transitions_of(data) -> Tuple[TransitionSet, int]:
-    """The transition set (ccw order) and the value held across angle 0,
-    built once per data object and kept on it."""
-    if not data.is_binary:
-        raise DomainError("solver needs binary data with values in {0, 1}")
+def transitions_of(data) -> Tuple[Transition, ...]:
+    """The ``Transition`` view of binary data in ccw order, built once per
+    data object and kept on it; DomainError for data with other values.
+    The data's constructor has proven the order of the breakpoints and
+    merged equal neighbours, so binary breakpoints alternate rising and
+    falling, and the last value is the one held across angle 0."""
     if data._transitions is None:
-        # merged binary data is sorted and alternating, and ends on its base
-        rising = [Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values)]
-        data._transitions = TransitionSet._of(rising, int(data.values[-1]), data.breakpoints, data._rad)
-    return data._transitions, data._transitions.base
+        if not data.is_binary:
+            raise DomainError("solver needs binary data with values in {0, 1}")
+        data._transitions = tuple(Transition(bp, v == 1.0) for bp, v in zip(data.breakpoints, data.values))
+    return data._transitions
 
 
 def _validate_matching(n: int, matching: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    pairs = tuple(sorted((min(i, j), max(i, j)) for i, j in matching))
+    try:
+        pairs = [(index(i), index(j)) for i, j in matching]
+    except (TypeError, ValueError) as exc:
+        raise DomainError("matching must be a sequence of integer index pairs") from exc
+    pairs = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     partner = [-1] * n
     for i, j in pairs:
         if not (0 <= i < j < n):
@@ -126,56 +78,69 @@ def _validate_matching(n: int, matching: Sequence[Tuple[int, int]]) -> Tuple[Tup
     return pairs
 
 
-class ChordConfiguration:
-    """A non-crossing chord matching of binary-data transition points along
-    with the induced two-coloring of the disk."""
+def interior_radius(pts: np.ndarray) -> float:
+    """Largest radius of an ``(n, 2)`` point array (0.0 for none); DomainError
+    unless every point lies strictly inside the disk, which NaN does not."""
+    import numpy as np
 
-    def __init__(
-        self,
-        transitions: Sequence[Transition],
-        matching: Sequence[Tuple[int, int]],
-        base_value: int,
-    ):
-        # a set with this base is shared as it is; anything else is validated
-        if not isinstance(transitions, TransitionSet) or transitions.base != base_value:
-            transitions = TransitionSet(transitions, base_value)
-        self.transitions = transitions
-        self.matching = _validate_matching(len(transitions), matching)
-        self.base_value = transitions.base
+    rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]), initial=0.0))
+    if not rmax < 1.0:
+        raise DomainError("evaluation points must lie strictly inside the disk")
+    return rmax
+
+
+class ChordConfiguration:
+    """A non-crossing chord matching of the transition points of binary
+    ``data`` (a ``PiecewiseConstantBoundary`` with values in {0, 1}), with
+    the induced two-coloring of the disk.  The data is the one validated form
+    of the transitions, so the constructor checks the matching only."""
+
+    def __init__(self, data, matching: Sequence[Tuple[int, int]]):
+        self.data = data
+        self.matching = _validate_matching(len(transitions_of(data)), matching)
 
     @classmethod
-    def _of(cls, transitions: TransitionSet, matching: Tuple[Tuple[int, int], ...]) -> "ChordConfiguration":
+    def _of(cls, data, matching: Tuple[Tuple[int, int], ...]) -> "ChordConfiguration":
         """A configuration of a matching that is non-crossing, perfect and
         sorted by construction (the DP backtrack, the enumeration table),
         kept as it is without ``_validate_matching``."""
         self = cls.__new__(cls)
-        self.transitions = transitions
+        self.data = data
         self.matching = matching
-        self.base_value = transitions.base
         return self
+
+    @property
+    def transitions(self) -> Tuple[Transition, ...]:
+        """The data's ``transitions_of``, one tuple shared by its configurations."""
+        return transitions_of(self.data)
+
+    @property
+    def base_value(self) -> int:
+        """The label held across angle 0, the data's last value."""
+        return int(self.data.values[-1])
 
     # -- scalar invariants ------------------------------------------------
     @cached_property
     def energy(self) -> float:
         """Total chord length, summed canonically (index order, exact fsum)."""
-        u = self.transitions.radians
+        u = self.data._rad
         return math.fsum(chord_length(u[j] - u[i]) for i, j in self.matching)
 
     @cached_property
     def label_area(self) -> float:
         """Area of the label-1 region (boundary arcs plus chord terms)."""
-        u = self.transitions.radians
-        n = len(self.transitions)
+        u, vals = self.data._rad, self.data.values
+        n = len(u)
         if n == 0:
             return math.pi * self.base_value
         terms = []
-        for i, t in enumerate(self.transitions):
-            if t.rising:
+        for i, v in enumerate(vals):
+            if v == 1.0:
                 nxt = u[(i + 1) % n] + (math.tau if i + 1 == n else 0.0)
                 terms.append(nxt - u[i])
         for i, j in self.matching:
             s = math.sin(u[j] - u[i])
-            terms.append(s if not self.transitions[i].rising else -s)
+            terms.append(-s if vals[i] == 1.0 else s)
         return 0.5 * math.fsum(terms)
 
     # -- pointwise labels ------------------------------------------------
@@ -186,17 +151,20 @@ class ChordConfiguration:
         side exactly when p . normal > cos; a label flips once per segment."""
         import numpy as np
 
-        u = self.transitions.u
+        u = np.array(self.data._rad)
         i, j = np.array(self.matching, dtype=np.intp).reshape(-1, 2).T
         mid = 0.5 * (u[i] + u[j])
         return np.column_stack([np.cos(mid), np.sin(mid)]), np.cos(0.5 * (u[j] - u[i]))
 
     def evaluate_points(self, pts: np.ndarray) -> np.ndarray:
-        """Labels (0/1) at planar points, shape (n, 2).  Points on a chord get
-        the label of the side the strict test leaves them on (a null set)."""
+        """Labels (0/1) at points strictly inside the disk, shape (n, 2);
+        DomainError for any other point (see ``interior_radius``).  Points on
+        a chord get the label of the side the strict test leaves them on (a
+        null set)."""
         import numpy as np
 
         pts = np.asarray(pts, dtype=float)
+        interior_radius(pts)
         flip = np.zeros(len(pts), dtype=np.int64)
         for n, c in zip(*self._segments):
             flip += pts @ n > c
@@ -205,18 +173,14 @@ class ChordConfiguration:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChordConfiguration):
             return NotImplemented
-        return (
-            self.transitions == other.transitions
-            and self.matching == other.matching
-            and self.base_value == other.base_value
-        )
+        return self.matching == other.matching and self.data == other.data
 
     def __hash__(self):
-        return hash((self.transitions, self.matching, self.base_value))
+        return hash((self.data, self.matching))
 
     def __repr__(self):
         return (
-            f"ChordConfiguration({len(self.transitions)} transitions, "
+            f"ChordConfiguration({len(self.data.breakpoints)} transitions, "
             f"{self.matching!r}, base={self.base_value})"
         )
 
@@ -246,7 +210,7 @@ def _flat_chord_diffs(u: Sequence[float]) -> List[float]:
     return [padded[i + s] - u[i] for s in range(1, n, 2) for i in range(n)]
 
 
-def _area_terms(trans: TransitionSet, mode: str, D):
+def _area_terms(data, mode: str, D):
     """Chord (i, i + 1 + 2t) signed area term in the place of its difference
     in ``D``, the calling fill's chord table (``_chord_diffs``' array, which
     is overwritten, or ``_flat_chord_diffs``' list): sin(u[k] - u[i]),
@@ -255,7 +219,7 @@ def _area_terms(trans: TransitionSet, mode: str, D):
     first tie.  ``math.sin`` and numpy's ``sin`` agree to the bit on the
     platforms the tests run on, which ``tests/test_dp_fill.py`` pins."""
     flip = -1.0 if mode == "maximal" else 1.0
-    sgn = [-flip if t.rising else flip for t in trans]
+    sgn = [-flip if v == 1.0 else flip for v in data.values]
     if isinstance(D, list):
         return [math.sin(d) * sgn[k % len(sgn)] for k, d in enumerate(D)]
     import numpy as np
@@ -305,14 +269,15 @@ def _backtrack(n: int, split) -> Tuple[Tuple[int, int], ...]:
     return tuple(matching)
 
 
-def _numpy_fill(trans: TransitionSet, mode: str):
+def _numpy_fill(data, mode: str):
     """The DP filled one half-span at a time, each a numpy step over all
     (split, start) pairs; ``solve_binary`` uses it above ``SCALAR_FILL_MAX``
     transitions.  Returns the matching and, for ``solve_binary`` to share,
     the matching again when no step tied (it serves both modes), else None."""
     import numpy as np
 
-    n = len(trans)
+    u = np.array(data._rad)
+    n = u.size
     # Row h of each table holds the intervals (i, i + 2h) at column i.  For
     # half-span h, split k = i + 1 + 2t pairs i with k and leaves (i+1, k)
     # at E[t, i+1] and (k+1, i+2h) at flat index (h-1)(n+1) + 2 + i - t(n-1).
@@ -321,7 +286,7 @@ def _numpy_fill(trans: TransitionSet, mode: str):
     A = np.zeros((half + 1, n + 1))
     T = np.zeros((half + 1, n + 1), dtype=np.int32)
     E_out, A_out = (np.ndarray((X.size - n, n + 1), buffer=X, strides=(8, 8)) for X in (E, A))
-    C, S = _chord_diffs(trans.u), None  # chord (i, i + 1 + 2t) length at [t, i]
+    C, S = _chord_diffs(u), None  # chord (i, i + 1 + 2t) length at [t, i]
     C *= 0.5
     np.sin(C, out=C)
     C *= 2.0
@@ -339,7 +304,7 @@ def _numpy_fill(trans: TransitionSet, mode: str):
         ok = _near_min(e, out=ok_buf[: h * rows].reshape(h, rows))
         if np.count_nonzero(ok) > rows:  # a tie: untied columns _pick as argmax does
             if S is None:
-                S = _area_terms(trans, mode, _chord_diffs(trans.u))
+                S = _area_terms(data, mode, _chord_diffs(u))
             for g in range(filled + 1, h):  # areas of the splits chosen since the last tie
                 t, c = T[g, : n - 2 * g + 1], cols[: n - 2 * g + 1]
                 A[g, : c.size] = S[t, c] + A[t, 1 + c] + A_out[(g - 1) * (n + 1) + 2 :: 1 - n][t, c]
@@ -376,7 +341,7 @@ def _pick_area(areas: List[float]) -> int:
     return next(k for k, a in enumerate(areas) if a <= bound)
 
 
-def _scalar_tables(trans: TransitionSet, mode: str):
+def _scalar_tables(data, mode: str):
     """The DP filled one cell at a time over float lists, without numpy,
     with ``_pick``'s rule in the same IEEE operations as ``_numpy_fill``:
     chord terms 2.0 * sin(0.5 * d) and area terms by ``math.sin``, energies
@@ -385,10 +350,10 @@ def _scalar_tables(trans: TransitionSet, mode: str):
     (S + A_in) + A_out and the first split within AREA_TOL of the smallest.
     Like ``_numpy_fill`` it fills the area table A only as far as a tie
     reads it.  Returns T and A (None without a tie)."""
-    n = len(trans)
+    n = len(data._rad)
     cells = _schedule(n)
     size = (n // 2 + 1) * (n + 1)
-    D = _flat_chord_diffs(trans.radians)
+    D = _flat_chord_diffs(data._rad)
     C, E, T = [2.0 * math.sin(0.5 * d) for d in D], [0.0] * size, [0] * size
     S = A = None
     filled = 0  # A holds the areas of the cells before this position
@@ -401,7 +366,7 @@ def _scalar_tables(trans: TransitionSet, mode: str):
             t = es.index(emin)
             if sorted(es)[1] <= bound:  # more than one near-minimal split
                 if S is None:
-                    S, A = _area_terms(trans, mode, D), [0.0] * size
+                    S, A = _area_terms(data, mode, D), [0.0] * size
                 for done, done_splits in cells[filled:pos]:
                     c, i, o = done_splits[T[done]]
                     A[done] = S[c] + A[i] + A[o]
@@ -413,12 +378,12 @@ def _scalar_tables(trans: TransitionSet, mode: str):
     return T, A
 
 
-def _scalar_fill(trans: TransitionSet, mode: str):
+def _scalar_fill(data, mode: str):
     """``_scalar_tables``' matching and, for ``solve_binary`` to share, the
     matching again when no cell tied, else None.  Used up to
     ``SCALAR_FILL_MAX``."""
-    T, A = _scalar_tables(trans, mode)
-    matching = _backtrack(len(trans), T.__getitem__)
+    T, A = _scalar_tables(data, mode)
+    matching = _backtrack(len(data._rad), T.__getitem__)
     return matching, (matching if A is None else None)
 
 
@@ -437,22 +402,20 @@ def solve_binary(data, mode: str = "minimal") -> ChordConfiguration:
     numpy step; a step with a tie first fills the area table ``A`` that far,
     then applies ``_pick`` to all its columns.
 
-    The mode enters a fill only at its first tie, so the set keeps in
-    ``_fill`` the matching of an untied fill, which answers both modes; it
-    does not refer back to the set, which would make a cycle.  A tied fill
-    shares nothing.
+    The mode enters a fill only at its first tie, so the data keeps in its
+    ``_fill`` slot the matching of an untied fill, which answers both modes;
+    it is a tuple of index pairs, not a configuration, which would refer
+    back to the data and make a cycle.  A tied fill shares nothing.
     """
     if mode not in ("minimal", "maximal"):
         raise DomainError(f"unknown mode {mode!r}")
-    trans = transitions_of(data)[0]
-    n = len(trans)
+    n = len(transitions_of(data))
     if n > MAX_TRANSITIONS:
         raise DomainError(f"too many transitions ({n} > {MAX_TRANSITIONS})")
-    matching = trans._fill
+    matching = data._fill
     if matching is None:
-        matching, shared = (_scalar_fill if n <= SCALAR_FILL_MAX else _numpy_fill)(trans, mode)
-        object.__setattr__(trans, "_fill", shared)
-    return ChordConfiguration._of(trans, matching)
+        matching, data._fill = (_scalar_fill if n <= SCALAR_FILL_MAX else _numpy_fill)(data, mode)
+    return ChordConfiguration._of(data, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +505,18 @@ def enumerate_optimal(data) -> Tuple[ChordConfiguration, ...]:
     """All energy-optimal configurations (within 1e-12 relative), smallest
     area first.  Exhaustive over the Catalan family; refuses more than
     ``ENUMERATION_CAP`` (16) transitions."""
-    trans = transitions_of(data)[0]
-    n = len(trans)
+    n = len(transitions_of(data))
     if n > ENUMERATION_CAP:
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} transitions (got {n})")
     import numpy as np
 
     # chord_length's own operations; its range check holds on sorted u
-    u = trans.radians
+    u = data._rad
     lengths = np.array([2.0 * math.sin(0.5 * (y - x)) for i, x in enumerate(u) for y in u[i + 1 :: 2]])
     table = _all_matchings(n)
     best = []
     for r, e in zip(*_near_optimal(lengths[_matching_index(n)])):
-        cfg = ChordConfiguration._of(trans, tuple(map(tuple, table[r].tolist())))
+        cfg = ChordConfiguration._of(data, tuple(map(tuple, table[r].tolist())))
         cfg.energy = e  # the correctly rounded sum of the same floats: ``energy`` to the bit
         best.append(cfg)
     if len(best) > 1:
@@ -567,11 +529,11 @@ def enumerate_optimal(data) -> Tuple[ChordConfiguration, ...]:
 
 def endpoint_ranks(*configs: ChordConfiguration) -> List[List[int]]:
     """Rank of every transition of every configuration in the merged exact
-    ccw order of their normalized angles; equal angles share a rank.  Each
-    transition set is sorted already, so a merge orders them."""
-    ranks = [[0] * len(cfg.transitions) for cfg in configs]
+    ccw order of their data's breakpoints; equal angles share a rank.  The
+    breakpoints are normalized and sorted already, so a merge orders them."""
+    ranks = [[0] * len(cfg.data.breakpoints) for cfg in configs]
     tagged = (
-        [(a, c, k) for k, a in enumerate(cfg.transitions.angles)]
+        [(a, c, k) for k, a in enumerate(cfg.data.breakpoints)]
         for c, cfg in enumerate(configs)
     )
     r, prev = -1, None
@@ -598,10 +560,8 @@ def region_subset(inner: ChordConfiguration, outer: ChordConfiguration) -> bool:
     """
     ra, rb = endpoint_ranks(inner, outer)
     # (a) inner data <= outer data on the arc after every rank (index -1 is
-    # the last transition, whose value is the base; with no transitions at
-    # all, the single arc is the whole circle)
-    vi = [t.rising for t in inner.transitions] or [inner.base_value]
-    vo = [t.rising for t in outer.transitions] or [outer.base_value]
+    # the last arc, which wraps past angle 0; constant data has one value)
+    vi, vo = inner.data.values, outer.data.values
     n_ranks = max(ra[-1:] + rb[-1:], default=0) + 1
     if any(vi[bisect_right(ra, r) - 1] > vo[bisect_right(rb, r) - 1] for r in range(n_ranks)):
         return False

@@ -153,7 +153,7 @@ def _config_dict(cfg: ChordConfiguration) -> dict:
         "label_area": _fmt(cfg.label_area),
         "matching": [[int(i), int(j)] for i, j in cfg.matching],
         "base_value": cfg.base_value,
-        "transition_angles": [_fmt(x) for x in cfg.transitions.radians],
+        "transition_angles": [_fmt(bp.radians) for bp in cfg.data.breakpoints],
     }
 
 
@@ -216,7 +216,7 @@ def _render_config(cfg: ChordConfiguration, opacity: float = 0.35) -> List[str]:
     is 1, the disk as two half-disks.  Segments of non-crossing chords nest,
     so a point is filled when the base value plus the number of segments
     holding it is odd: the label ``evaluate_points`` gives it."""
-    u = cfg.transitions.radians
+    u = [bp.radians for bp in cfg.data.breakpoints]
     spans = [(u[i], u[j]) for i, j in cfg.matching] + [(0.0, math.pi), (math.pi, 0.0)] * cfg.base_value
     d = []
     for a, b in spans:

@@ -10,8 +10,8 @@ A disk function is any callable that takes an ``(n, 2)`` float array of
 points strictly inside the disk and returns ``n`` values: ``LevelSetStack``
 itself, a configuration's ``evaluate_points``, ``analysis.v_limit``, or a
 plain function.  ``l1_distance`` and ``analysis.trace`` accept exactly that.
-``LevelSetStack`` and ``v_limit`` reject any other point, NaN included,
-with the one guard ``interior_radius``.
+``LevelSetStack``, ``v_limit`` and ``evaluate_points`` reject any other
+point, NaN included, with the one guard ``chord_solver.interior_radius``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from .circle_geometry import DomainError
-from .chord_solver import ChordConfiguration, region_subset, solve_binary
+from .chord_solver import ChordConfiguration, interior_radius, region_subset, solve_binary
 
 if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
     import numpy as np
@@ -78,17 +78,6 @@ def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     pts.flags.writeable = False
     return pts
-
-
-def interior_radius(pts: np.ndarray) -> float:
-    """Largest radius of an ``(n, 2)`` point array (0.0 for none); DomainError
-    unless every point lies strictly inside the disk, which NaN does not."""
-    import numpy as np
-
-    rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]), initial=0.0))
-    if not rmax < 1.0:
-        raise DomainError("evaluation points must lie strictly inside the disk")
-    return rmax
 
 
 class NestednessError(RuntimeError):

@@ -96,10 +96,10 @@ def cross_product_labels(cfg: ChordConfiguration, pts: np.ndarray) -> np.ndarray
     from ``Angle.point()``."""
     pts = np.asarray(pts, dtype=float)
     flip = np.zeros(len(pts), dtype=np.int64)
-    u = cfg.transitions.radians
+    u, bps = cfg.data._rad, cfg.data.breakpoints
     for i, j in cfg.matching:
-        p = np.array(cfg.transitions[i].angle.point())
-        q = np.array(cfg.transitions[j].angle.point())
+        p = np.array(bps[i].point())
+        q = np.array(bps[j].point())
         mid = 0.5 * (u[i] + u[j])
         r = np.array([math.cos(mid), math.sin(mid)])
         d = q - p
@@ -118,7 +118,7 @@ def segment_parity_area(cfg: ChordConfiguration) -> float:
     intervals, and a point's label is the base value flipped once per
     segment that holds it, so the points of odd depth have the alternating
     sum of segment areas by nesting depth."""
-    u = cfg.transitions.u.tolist()
+    u = cfg.data._rad
     terms, open_ends = [], []
     for i, j in cfg.matching:  # in index order, so a chord comes after those holding it
         while open_ends and open_ends[-1] < i:
@@ -145,13 +145,12 @@ def fsum_scan(rows) -> list:
 def fsum_enumeration(data) -> tuple:
     """``enumerate_optimal`` scoring every row of the matching table with
     ``math.fsum`` over ``chord_length`` terms."""
-    trans = transitions_of(data)[0]
-    n = len(trans)
-    u, lengths = trans.u.tolist(), np.zeros((n, n))
+    n = len(transitions_of(data))
+    u, lengths = data._rad, np.zeros((n, n))
     for i, x in enumerate(u):
         lengths[i, i + 1 :: 2] = [chord_length(y - x) for y in u[i + 1 :: 2]]
     table = _all_matchings(n)
-    best = [ChordConfiguration._of(trans, tuple(map(tuple, table[k].tolist())))
+    best = [ChordConfiguration._of(data, tuple(map(tuple, table[k].tolist())))
             for k in fsum_scan(lengths[table[..., 0], table[..., 1]].tolist())]
     best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)

@@ -34,14 +34,14 @@ def test_child_prints_the_checked_energy(name):
     assert res.returncode == 0, res.stderr[-2000:]
     out = json.loads(res.stdout.splitlines()[-1])
     data = bench_solve.build(name)
-    trans = transitions_of(data)[0]
+    trans = transitions_of(data)
     if name.startswith("oracle") and len(trans) <= ENUMERATION_CAP:
         want = enumerate_optimal(data)[0].energy
         assert want.hex() == fsum_enumeration(data)[0].energy.hex()  # every row summed exactly
     elif name.startswith("load"):
-        want = math.fsum(trans.u)
+        want = math.fsum(bp.radians for bp in data.breakpoints)
     elif name.startswith("evalcut"):
-        assert trans == cut_config(6).transitions
+        assert data == cut_config(6).data and trans == cut_config(6).transitions
         want = float(cut_config(6).evaluate_points(disk_samples(bench_solve.EVAL_SAMPLES)).sum())
     else:
         want = solve_binary(data).energy

@@ -12,7 +12,6 @@ from lglab.chord_solver import (
     ChordConfiguration,
     _pick,
     Transition,
-    TransitionSet,
     enumerate_optimal,
     region_subset,
     select_optimal,
@@ -38,133 +37,100 @@ def _pi(q):
 
 class TestTransitions:
     def test_caps(self, caps):
-        trans, base = transitions_of(caps)
-        assert base == 0
+        trans = transitions_of(caps)
+        assert solve_binary(caps).base_value == 0
         assert [t.rising for t in trans] == [True, False, True, False]
 
     def test_gn_base_is_one(self):
         # g_1 equals 1 outside the removed arc, so the scan starts falling
-        trans, base = transitions_of(build_gn(1))
-        assert base == 1
-        assert [t.rising for t in trans] == [False, True]
+        data = build_gn(1)
+        assert solve_binary(data).base_value == 1
+        assert [t.rising for t in transitions_of(data)] == [False, True]
 
     def test_constant(self):
-        trans, base = transitions_of(PCB.constant(1.0))
-        assert trans == ()
-        assert base == 1
+        data = PCB.constant(1.0)
+        assert transitions_of(data) == ()
+        assert solve_binary(data).base_value == 1
 
     def test_rejects_non_binary(self):
+        data = PCB([_pi(0), _pi(1)], [0.0, 0.5])
         with pytest.raises(DomainError):
-            transitions_of(PCB([_pi(0), _pi(1)], [0.0, 0.5]))
+            transitions_of(data)
+        with pytest.raises(DomainError):
+            ChordConfiguration(data, ((0, 1),))
 
 
 class TestConfigurationValidation:
-    def _trans(self, caps):
-        return transitions_of(caps)[0]
-
     def test_crossing_matching_rejected(self, caps):
         with pytest.raises(DomainError):
-            ChordConfiguration(self._trans(caps), ((0, 2), (1, 3)), 0)
+            ChordConfiguration(caps, ((0, 2), (1, 3)))
 
     def test_parity_rejected(self, caps):
         # pairing two rising transitions leaves no consistent labels
         with pytest.raises(DomainError):
-            ChordConfiguration(self._trans(caps), ((0, 2), (1, 3)), 0)
+            ChordConfiguration(caps, ((0, 2), (1, 3)))
         with pytest.raises(DomainError):
-            ChordConfiguration(self._trans(caps), ((0, 0), (1, 3)), 0)
+            ChordConfiguration(caps, ((0, 0), (1, 3)))
 
     def test_incomplete_matching_rejected(self, caps):
         with pytest.raises(DomainError):
-            ChordConfiguration(self._trans(caps), ((0, 1),), 0)
+            ChordConfiguration(caps, ((0, 1),))
 
-    def test_base_value_must_match_last_transition(self, caps):
-        with pytest.raises(DomainError):
-            ChordConfiguration(self._trans(caps), ((0, 1), (2, 3)), 1)
+    @pytest.mark.parametrize("matching", [((0.0, 1.0), (2, 3)), ((0, 1.5), (2, 3)), ((0, 1, 2),), ((0,),), (5,)])
+    def test_malformed_pairs_rejected(self, caps, matching):
+        with pytest.raises(DomainError, match="index pairs"):
+            ChordConfiguration(caps, matching)
+
+    def test_numpy_indices_stored_as_int(self, caps):
+        cfg = ChordConfiguration(caps, np.array([[2, 3], [1, 0]], dtype=np.int64))
+        assert cfg.matching == ((0, 1), (2, 3))
+        assert all(type(k) is int for pair in cfg.matching for k in pair)
+        assert cfg == solve_binary(caps, "minimal")
 
 
 class TestTransitionSet:
-    def test_transitions_of_builds_a_set(self, caps):
-        trans, base = transitions_of(caps)
-        assert isinstance(trans, TransitionSet)
-        assert trans.base == base == 0
-        assert trans == tuple(Transition(bp, v == 1.0) for bp, v in zip(caps.breakpoints, caps.values))
-        assert list(trans.u) == [bp.radians for bp in caps.breakpoints]
+    """The data is the one validated form of its transitions: its
+    ``Transition`` view is built once and shared by every configuration."""
 
-    def test_immutable(self, caps):
-        trans, _ = transitions_of(caps)
-        with pytest.raises(AttributeError):
-            trans.base = 1
-        with pytest.raises(AttributeError):
-            del trans.u
-        with pytest.raises(ValueError):
-            trans.u[0] = 0.0
+    def test_transitions_of_builds_a_set(self, caps):
+        trans = transitions_of(caps)
+        assert trans is transitions_of(caps)
+        assert trans == tuple(Transition(bp, v == 1.0) for bp, v in zip(caps.breakpoints, caps.values))
+        assert all(t.angle is bp for t, bp in zip(trans, caps.breakpoints, strict=True))
 
     def test_configurations_share_the_set(self, caps, monkeypatch):
-        trans, base = transitions_of(caps)
+        trans = transitions_of(caps)
         calls = []
         real = Angle.normalized
         monkeypatch.setattr(Angle, "normalized", lambda a: calls.append(a) or real(a))
-        cfg = ChordConfiguration(trans, ((0, 1), (2, 3)), base)
-        assert cfg.transitions is trans
+        cfg = ChordConfiguration(caps, ((0, 1), (2, 3)))
+        other = ChordConfiguration(caps, ((0, 3), (1, 2)))
+        assert cfg.data is caps and cfg.transitions is trans and other.transitions is trans
+        assert cfg.base_value == other.base_value == 0
         assert calls == []  # no second validation
-        raw = ChordConfiguration(tuple(trans), ((0, 1), (2, 3)), base)
-        assert raw.transitions is not trans and raw == cfg
-        assert len(calls) == 4  # a raw sequence is validated once per angle
+
+    def test_equal_data_gives_equal_configurations(self):
+        def band():
+            return PCB.from_arcs([Arc(_pi("1/4"), _pi("3/4")), Arc(_pi("5/4"), _pi("7/4"))])
+
+        a, b = band(), band()
+        assert a is not b
+        ca, cb = ChordConfiguration(a, ((0, 1), (2, 3))), ChordConfiguration(b, ((2, 3), (0, 1)))
+        assert ca == cb and hash(ca) == hash(cb)
+        flipped = ChordConfiguration(a.complement(), ((0, 1), (2, 3)))
+        assert flipped.base_value == 1 - ca.base_value
+        assert flipped != ca
+        assert ca != ChordConfiguration(a, ((0, 3), (1, 2)))
 
     def test_enumerated_configurations_share_one_set(self):
         rng = random.Random(5)
         for _ in range(10):
             data = random_binary_data(rng, max_pairs=5)
-            trans, _ = transitions_of(data)
+            trans = transitions_of(data)
             optima = enumerate_optimal(data)
             assert len({id(c.transitions) for c in optima}) == 1
-            assert optima[0].transitions == trans
-
-    def test_raw_sequences_still_rejected(self, caps):
-        trans = tuple(transitions_of(caps)[0])
-        with pytest.raises(DomainError):
-            ChordConfiguration(trans, ((0, 2), (1, 3)), 0)
-        with pytest.raises(DomainError):
-            ChordConfiguration(trans, ((0, 1), (2, 3)), 1)
-        with pytest.raises(DomainError):
-            ChordConfiguration(trans[::-1], ((0, 1), (2, 3)), 0)  # decreasing
-        with pytest.raises(DomainError):
-            ChordConfiguration(trans[:3], ((0, 1),), 0)  # odd count
-        with pytest.raises(DomainError):
-            ChordConfiguration((trans[0], trans[2]), ((0, 1),), 0)  # both rising
-        with pytest.raises(DomainError):
-            ChordConfiguration(trans, ((0, 1), (2, 3)), 2)
-
-    def test_data_built_set_equals_the_validated_one(self):
-        # transitions_of trusts the data's own order proof and merge; the
-        # validating constructor must agree on every field
-        rng = random.Random(8)
-        huge = PCB([Angle(Fraction(1, 3) + 2 * 10**40, Fraction(1, 7)), Angle(0, Fraction(1, 10**30)),
-                    Angle(Fraction(3, 2)), Angle(Fraction(3, 2), Fraction(1, 10**30))], [1, 0, 0, 1])
-        cases = [PCB.constant(0.0), PCB.constant(1.0), huge] + [build_gn(k) for k in range(5)]
-        cases += [random_binary_data(rng, max_pairs=8) for _ in range(40)]
-        for data in cases:
-            trans, base = transitions_of(data)
-            ref = TransitionSet(tuple(trans), base)
-            assert trans == ref and trans.base == ref.base == base
-            assert all(a is b for a, b in zip(trans.angles, ref.angles, strict=True))
-            assert [x.hex() for x in trans.u] == [x.hex() for x in ref.u]
-            assert not trans.u.flags.writeable and not ref.u.flags.writeable
-
-    def test_constructor_still_checks(self, caps):
-        trans = tuple(transitions_of(caps)[0])
-        with pytest.raises(DomainError, match="increasing"):
-            TransitionSet(trans[1:] + trans[:1], 1)  # out of order, alternating, consistent base
-        with pytest.raises(DomainError, match="alternate"):
-            TransitionSet((trans[0], trans[2]), 0)
-        with pytest.raises(DomainError, match="inconsistent"):
-            TransitionSet(trans, 1)
-
-    def test_empty_set_takes_the_requested_base(self):
-        one, base = transitions_of(PCB.constant(1.0))
-        assert base == 1
-        assert ChordConfiguration(one, (), 1).transitions is one
-        assert ChordConfiguration(one, (), 0).base_value == 0
+            assert optima[0].transitions is trans
+            assert all(c.data is data for c in optima)
 
 
 class TestEnergyAndArea:
@@ -193,8 +159,7 @@ class TestEnergyAndArea:
         # the label-1 region and that of the flipped data tile the disk
         for mode in ("minimal", "maximal"):
             cfg = solve_binary(caps, mode)
-            flipped = [Transition(t.angle, not t.rising) for t in cfg.transitions]
-            other = ChordConfiguration(flipped, cfg.matching, 1 - cfg.base_value)
+            other = ChordConfiguration(caps.complement(), cfg.matching)
             for a, b in ((cfg, other), (other, cfg)):
                 total = math.fsum((segment_parity_area(a), b.label_area))
                 assert total == pytest.approx(math.pi, abs=1e-10)
@@ -227,6 +192,21 @@ class TestEvaluation:
     def test_function_wrapper(self, caps):
         u = solve_binary(caps).evaluate_points
         assert u(np.array([[0.0, 0.9]]))[0] == 1
+
+    @pytest.mark.parametrize("pt", [[math.nan, 0.0], [0.0, math.nan], [1.0, 0.0], [2.0, 0.0]])
+    def test_rejects_points_not_strictly_inside(self, caps, pt):
+        cfg = solve_binary(caps)
+        with pytest.raises(DomainError, match="strictly inside"):
+            cfg.evaluate_points(np.array([[0.0, 0.0], pt]))
+
+    def test_no_points(self, caps):
+        assert solve_binary(caps).evaluate_points(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 1, 7])
+    def test_disk_samples_pass_the_guard(self, seed):
+        # the samples l1_distance and trace draw stay clear of the circle
+        pts = disk_samples(200_000, seed)
+        assert np.hypot(pts[:, 0], pts[:, 1]).max() < 0.9999998
 
     def test_segment_table_matches_cross_product_predicate(self, caps):
         """The segment test ``p . normal > cos`` labels every point as the
@@ -291,7 +271,7 @@ class TestSolverAgainstEnumeration:
 
     def test_enumeration_cap(self):
         data = build_fn(4)
-        assert len(transitions_of(data)[0]) == 32
+        assert len(transitions_of(data)) == 32
         with pytest.raises(DomainError, match="capped at 16"):
             enumerate_optimal(data)
 
@@ -320,11 +300,11 @@ class TestRegionSubset:
         assert not region_subset(w, u)
 
     def test_ranks_reuse_the_normalized_angles(self, monkeypatch):
-        # the transition set keeps the angles it normalized, so containment
+        # the data keeps the breakpoints it normalized, so containment
         # normalizes nothing again
         inner, outer = solve_binary(build_fn(2)), solve_binary(build_gn(2))
         for cfg in (inner, outer):
-            assert cfg.transitions.angles == tuple(t.angle.normalized() for t in cfg.transitions)
+            assert cfg.data.breakpoints == tuple(t.angle.normalized() for t in cfg.transitions)
         calls = []
         real = Angle.normalized
         monkeypatch.setattr(Angle, "normalized", lambda a: calls.append(a) or real(a))
@@ -396,8 +376,7 @@ def _lattice_config(arcs, matching):
     """Label 1 on the arcs [a, b]*pi/8, with the chords ``matching`` (indices
     into the transitions sorted from angle 0)."""
     data = PCB.from_arcs([Arc(_pi(Fraction(a, 8)), _pi(Fraction(b, 8))) for a, b in arcs])
-    trans, base = transitions_of(data)
-    return ChordConfiguration(trans, matching, base)
+    return ChordConfiguration(data, matching)
 
 
 class TestRegionSubsetByHand:
@@ -443,7 +422,7 @@ def test_transition_cap():
 
 def test_repr_and_equality(caps):
     a = solve_binary(caps, "minimal")
-    b = ChordConfiguration(a.transitions, a.matching, a.base_value)
+    b = ChordConfiguration(a.data, a.matching)
     assert a == b
     assert hash(a) == hash(b)
     assert "ChordConfiguration" in repr(a)

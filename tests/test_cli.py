@@ -273,7 +273,7 @@ class TestRender:
         assert len(paths) == len(configs) == body.count("fill-rule=")
         lines = []
         for d, cfg in zip(paths, configs):
-            u = cfg.transitions.u
+            u = cfg.data._rad
             spans = [(u[i], u[j]) for i, j in cfg.matching] + [(0.0, math.pi), (math.pi, 0.0)] * cfg.base_value
             subpaths = re.findall(r"M (\S+ \S+) A 450 450 0 [01] 0 (\S+ \S+) Z", d)
             assert len(subpaths) == d.count("M ") == len(cfg.matching) + 2 * cfg.base_value

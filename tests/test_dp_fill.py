@@ -42,16 +42,15 @@ FILLS = ("scalar", "numpy")
 def _fill(name, data, mode):
     """Run one fill of the DP directly, whatever the size of the data, and
     return the configuration of its matching."""
-    trans = transitions_of(data)[0]
-    return ChordConfiguration._of(trans, getattr(chord_solver, f"_{name}_fill")(trans, mode)[0])
+    return ChordConfiguration._of(data, getattr(chord_solver, f"_{name}_fill")(data, mode)[0])
 
 
 def _dense_solve(data, mode, steps=None):
     """The reference fill; ``steps``, when given, receives every half-span's
     (split, column) energy and area candidates under its half-span."""
-    trans, base = transitions_of(data)
+    trans = transitions_of(data)
     n = len(trans)
-    u = trans.u
+    u = np.array(data._rad)
     sgn = np.where([t.rising for t in trans], -1.0, 1.0)
     if mode == "maximal":
         sgn = -sgn
@@ -79,7 +78,7 @@ def _dense_solve(data, mode, steps=None):
         if i < j:
             matching.append((i, int(K[i, j])))
             work += [(i + 1, K[i, j]), (K[i, j] + 1, j)]
-    return ChordConfiguration(trans, matching, base)
+    return ChordConfiguration(data, matching)
 
 
 def _data(angles):
@@ -199,10 +198,10 @@ def test_built_matchings_are_valid():
     # the fills and the enumeration build their configurations without
     # _validate_matching: each matching must be what it would return
     def check(cfg, data):
-        trans = transitions_of(data)[0]
+        trans = transitions_of(data)
         assert cfg.matching == _validate_matching(len(trans), cfg.matching)
         assert all(type(x) is int for pair in cfg.matching for x in pair)
-        assert cfg.transitions is trans and cfg.base_value == trans.base
+        assert cfg.data is data and cfg.transitions is trans
 
     for fill, _, make in FILL_CASES:
         data = make()
@@ -210,7 +209,7 @@ def test_built_matchings_are_valid():
             check(_fill(fill, data, mode), data)
     for _, make in SMALL_CASES:
         data = make()
-        if len(transitions_of(data)[0]) <= ENUMERATION_CAP:
+        if len(transitions_of(data)) <= ENUMERATION_CAP:
             for cfg in enumerate_optimal(data):
                 check(cfg, data)
 

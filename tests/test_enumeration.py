@@ -57,8 +57,7 @@ def _reference_matchings(n):
 
 
 def _reference_optimal(data):
-    trans, base = transitions_of(data)
-    configs = [ChordConfiguration(trans, m, base) for m in _reference_matchings(len(trans))]
+    configs = [ChordConfiguration(data, m) for m in _reference_matchings(len(transitions_of(data)))]
     emin = min(c.energy for c in configs)
     tol = ENERGY_REL_TOL * max(1.0, emin)
     best = [c for c in configs if c.energy <= emin + tol]
@@ -147,7 +146,7 @@ def test_matching_at_the_edge_of_the_energy_window():
 @pytest.mark.parametrize("name, make", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
 def test_dense_corpus_matches_fsum_scan(name, make):
     data = make()
-    if len(transitions_of(data)[0]) <= ENUMERATION_CAP:
+    if len(transitions_of(data)) <= ENUMERATION_CAP:
         assert _bits(enumerate_optimal(data)) == _bits(fsum_enumeration(data))
 
 

@@ -3,8 +3,9 @@
 ``Angle.radians`` and ``Angle.normalized()`` keep their results on the
 angle, ``PiecewiseConstantBoundary`` orders its breakpoints by their floats
 where a proven margin allows, and ``transitions_of`` builds one
-``TransitionSet`` per data object.  These tests pin that every such
-shortcut gives what the exact computation gives.
+``Transition`` view per data object, which every configuration of the data
+shares.  These tests pin that every such shortcut gives what the exact
+computation gives.
 """
 
 import gc
@@ -112,7 +113,7 @@ def test_normalized_angle_has_no_reference_cycle():
 
 def test_one_transition_set_per_data_object():
     for d in (build_gn(2), PCB([Angle(Fraction(k, 4)) for k in (1, 3, 5, 7)], [1, 0, 1, 0])):
-        trans = transitions_of(d)[0]
+        trans = transitions_of(d)
         assert enumerate_optimal(d)[0].transitions is solve_binary(d, "maximal").transitions
         assert solve_binary(d, "minimal").transitions is trans
         assert all(c.transitions is trans for c in enumerate_optimal(d))

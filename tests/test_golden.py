@@ -49,7 +49,7 @@ def records():
     out = {}
     for name, data in corpus().items():
         rec = {mode: _config(solve_binary(data, mode)) for mode in ("minimal", "maximal")}
-        rec["u"] = [x.hex() for x in solve_binary(data).transitions.u]
+        rec["u"] = [x.hex() for x in solve_binary(data).data._rad]
         if len(data.breakpoints) <= 16:
             rec["optima"] = [_config(c) for c in enumerate_optimal(data)]
         out[name] = rec

@@ -59,7 +59,7 @@ class TestHugeBreakpoints:
         assert a.radians == u
         for cfg in (solve_binary(data, "minimal"), solve_binary(data, "maximal"), *enumerate_optimal(data)):
             assert cfg.matching == ((0, 1),)
-            assert list(cfg.transitions.u) == [math.pi, u]
+            assert list(cfg.data._rad) == [math.pi, u]
             assert cfg.energy == pytest.approx(2 * math.sin((u - math.pi) / 2), rel=1e-15)
 
     def test_too_huge_offset_is_a_domain_error(self):

@@ -1,11 +1,11 @@
 """The fill that ``solve_binary`` shares between its two modes.
 
-The mode enters a fill only at its first tie.  ``solve_binary`` keeps on the
-data's ``TransitionSet`` the matching of an untied fill, which answers both
+The mode enters a fill only at its first tie.  ``solve_binary`` keeps in the
+data's ``_fill`` slot the matching of an untied fill, which answers both
 modes; after a tied fill each solve fills again.  Whatever the order of the
 solves, each must return what a fresh data object gives and what the dense
 reference fill gives, to the bit; and the kept matching must not tie the
-set to itself.
+data to itself.
 """
 
 import gc
@@ -58,7 +58,7 @@ def _numpy_sized(m, q, seed):
 @pytest.mark.parametrize("m, q, seed", [(22, 12, 0), (22, 12, 1), (24, 12, 3), (26, 16, 1), (30, 24, 2), (40, 24, 5)])
 def test_solve_orders_agree_on_numpy_sizes(m, q, seed):
     data = _numpy_sized(m, q, seed)
-    assert len(transitions_of(data)[0]) > chord_solver.SCALAR_FILL_MAX
+    assert len(transitions_of(data)) > chord_solver.SCALAR_FILL_MAX
     _all_orders_agree(data)
 
 
@@ -68,9 +68,9 @@ def _spy(monkeypatch):
     for name in ("scalar", "numpy"):
         fill = getattr(chord_solver, f"_{name}_fill")
 
-        def spy(trans, mode, fill=fill, name=name):
+        def spy(data, mode, fill=fill, name=name):
             calls.append(name)
-            return fill(trans, mode)
+            return fill(data, mode)
 
         monkeypatch.setattr(chord_solver, f"_{name}_fill", spy)
     return calls
@@ -80,7 +80,7 @@ def _tied_positions(data, mode):
     """Positions in ``_schedule(n)`` of the cells where the dense fill sees
     more than one near-minimal split, with its area table (flat, as the
     scalar fill lays it out)."""
-    n = len(transitions_of(data)[0])
+    n = len(transitions_of(data))
     steps = {}
     _dense_solve(data, mode, steps)
     tied, area = set(), {}
@@ -111,7 +111,7 @@ def _refills_in_full(monkeypatch, data, fill):
     for mode in MODES + MODES:
         _same(solve_binary(data, mode), ref[mode])
     assert calls == [fill] * 4
-    assert transitions_of(data)[0]._fill is None
+    assert data._fill is None
     return ref
 
 
@@ -131,15 +131,15 @@ def test_tied_numpy_solve_refills_in_full(monkeypatch):
                                   lambda: _numpy_sized(24, 12, 0)])
 def test_kept_fill_makes_no_reference_cycle(make):
     # without the cycle collector, dropping the data and its solutions must
-    # free the transition set (a weak reference to its radians shows it)
+    # free the data (a weak reference to a transition it owns shows it)
     data = _fresh(make())
     gc.collect()
     gc.disable()
     try:
         configs = [solve_binary(data, mode) for mode in MODES + MODES]
-        u = weakref.ref(transitions_of(data)[0].u)
+        owned = weakref.ref(transitions_of(data)[0])
         del data, configs
-        assert u() is None
+        assert owned() is None
     finally:
         gc.enable()
 
@@ -153,13 +153,13 @@ def test_scalar_area_table_is_the_dense_one_at_every_tie(mode):
     multi = 0
     for _, make in SMALL_CASES:
         data = make()
-        trans = transitions_of(data)[0]
+        n = len(transitions_of(data))
         tied, area = _tied_positions(data, mode)
-        _, A = chord_solver._scalar_tables(trans, mode)
+        _, A = chord_solver._scalar_tables(data, mode)
         if not tied:
             assert A is None
             continue
-        for p, (cell, _) in enumerate(_schedule(len(trans))):
+        for p, (cell, _) in enumerate(_schedule(n)):
             want = area[cell].hex() if p < tied[-1] else (0.0).hex()
             assert A[cell].hex() == want, (p, tied)
         multi += len(tied) > 1

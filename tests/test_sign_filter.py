@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lglab import circle_geometry
-from lglab.chord_solver import Transition, TransitionSet
-from lglab.circle_geometry import TWO_PI, Angle, DomainError, _sign
+from lglab.circle_geometry import TWO_PI, Angle, _sign, strictly_increasing
 
 
 def _machin_pi(scale: int) -> int:
@@ -223,13 +222,10 @@ def test_normalized_is_exact_from_a_float_guess():
 # -- the float filter on the transition order ---------------------------------
 
 def _accepted(angles) -> bool:
-    """Does ``TransitionSet`` accept these angles as alternating transitions?"""
-    trans = [Transition(a, i % 2 == 0) for i, a in enumerate(angles)]
-    try:
-        TransitionSet(trans, int(trans[-1].rising))
-    except DomainError:
-        return False
-    return True
+    """Does ``strictly_increasing`` accept these angles, normalized, as
+    ``PiecewiseConstantBoundary`` calls it on its breakpoints?"""
+    ns = [a.normalized() for a in angles]
+    return strictly_increasing(ns, [a.radians for a in ns])
 
 
 def _ref_increasing(angles) -> bool:

@@ -36,7 +36,7 @@ def _assignment_oracle(data, probe_uniqueness=True):
     optimum, so the optimum is unique exactly when forbidding each of its
     edges in turn makes the assignment strictly dearer.
     """
-    trans, _ = transitions_of(data)
+    trans = transitions_of(data)
     u = np.array([t.angle.normalized().radians for t in trans])
     rise = [i for i, t in enumerate(trans) if t.rising]
     fall = [i for i, t in enumerate(trans) if not t.rising]
