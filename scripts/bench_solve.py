@@ -26,8 +26,11 @@ DP takes its numpy fill and enumeration is refused, so only the two solves
 run).  ``evalcut6`` times ``evaluate_points`` of the stage-6 cut
 configuration (``analysis.cut_config(6)``, 126 transitions) on 200k
 ``disk_samples``, the sampled labels that ``l1_distance`` and ``trace``
-read.  The call is chosen by the instance name.  Three more instances time
-a whole fresh interpreter instead of one call in it: ``import`` runs
+read.  ``buildgn11`` times the construction itself: the call is
+``build_gn(11)``, the complement datum of Cantor stage 11 with 4094
+breakpoints, and its check value is the ``fsum`` of their radians.  The
+call is chosen by the instance name.  Three more instances time a whole
+fresh interpreter instead of one call in it: ``import`` runs
 ``python -c "import lglab"``, ``solvecaps`` runs ``lglab solve`` on the
 opposite caps (written once by the first tree's ``lglab generate
 notconverge``) and ``verifynonlin`` runs ``lglab verify nonlinearity``,
@@ -64,7 +67,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
-             "load200", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
+             "load200", "buildgn11", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
              "verifynonlin")
 PROCESS_INSTANCES = ("import", "solvecaps", "verifynonlin")
 CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
@@ -83,7 +86,7 @@ def build(name: str):
     from lglab.circle_geometry import Angle
 
     m, q = re.fullmatch(r"[a-z]+(\d+)(?:q(\d+))?", name).groups()
-    if name.startswith(("gn", "evalcut")):
+    if name.startswith(("gn", "evalcut", "buildgn")):
         return build_gn(int(m))
     m, q = int(m), int(q or LATTICE_Q)
     rng = random.Random(LATTICE_SEED + m)
@@ -97,25 +100,29 @@ def child(name: str) -> None:
     """Build ``name``, run its call once cold, then once more on a freshly
     built data object, and print both times and the cold call's memory as
     JSON with a check value: the energy of the solution or of the first
-    optimum, for a load the ``fsum`` of the breakpoint radians, and for an
-    evaluation the number of points labelled 1."""
+    optimum, for a load or a construction the ``fsum`` of the breakpoint
+    radians, and for an evaluation the number of points labelled 1."""
     import math
 
     import numpy  # noqa: F401  loaded first, so the cold call times no import
 
     from lglab.analysis import _consecutive_config
-    from lglab.boundary_data import PiecewiseConstantBoundary
+    from lglab.boundary_data import PiecewiseConstantBoundary, build_gn
     from lglab.chord_solver import ENUMERATION_CAP, enumerate_optimal, solve_binary, transitions_of
     from lglab.level_stack import disk_samples
 
     load = name.startswith("load")
     evaluate = name.startswith("evalcut")
+    construct = name.startswith("buildgn")
 
     def fresh():
         """A new data object, so no fill kept on an earlier one is reused,
         and for a load its JSON document; for an evaluation a new cut
         configuration (consecutive transitions paired, as ``cut_config``
-        pairs them) and the sample points."""
+        pairs them) and the sample points; for a construction only the
+        stage, since the data is what the call builds."""
+        if construct:
+            return int(name[len("buildgn"):]), None
         data = build(name)
         if evaluate:
             return _consecutive_config(data), disk_samples(EVAL_SAMPLES)
@@ -124,6 +131,8 @@ def child(name: str) -> None:
     def call(data, arg):
         if evaluate:
             return data.evaluate_points(arg)
+        if construct:
+            return build_gn(data)
         if load:
             data = PiecewiseConstantBoundary.from_json_dict(arg)
             transitions_of(data)  # for its side effect: the view kept on the data
@@ -144,7 +153,7 @@ def child(name: str) -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if evaluate:
         transitions, check = len(args[0].transitions), float(out.sum())
-    elif load:
+    elif load or construct:
         transitions, check = len(out.breakpoints), math.fsum(out._rad)
     else:
         transitions, check = len(out.transitions), out.energy

@@ -45,6 +45,7 @@ from .chord_solver import (
 from .level_stack import DEFAULT_SEED, l1_distance
 
 ENERGY_THRESHOLD = 2.0 * math.sin(5.0 / 16.0)  # decisive bound for the Cantor family
+MAX_TRACE_SAMPLES = 2**20  # per radius, 256 times trace's default
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,10 @@ def trace(
     and the affected standard errors widen accordingly.  ``samples`` must be
     at least 16: a radius then draws up to 8 * 16 points, each inside the disk
     with probability above 0.39 (r0 < 1), so it keeps none with p < 1e-27.
+    It may be at most ``MAX_TRACE_SAMPLES``, which bounds the arrays drawn.
     A radius too small for doubles to place a point strictly inside the disk
-    keeps none at all and raises DomainError, as does a non-finite x.
+    keeps none at all and raises DomainError, as do a non-finite x and an
+    estimate that overflows the float range.
     """
     if not (0.0 < r0 < 1.0):
         raise DomainError("r0 must lie in (0, 1)")
@@ -118,6 +121,8 @@ def trace(
         raise DomainError("need at least 4 radii to judge stabilization")
     if samples < 16:
         raise DomainError(f"need at least 16 samples per radius, got {samples}")
+    if samples > MAX_TRACE_SAMPLES:
+        raise DomainError(f"at most {MAX_TRACE_SAMPLES} samples per radius, got {samples}")
     xrad = x.radians if isinstance(x, Angle) else float(x)
     if not math.isfinite(xrad):
         raise DomainError(f"trace angle must be finite, got {xrad}")
@@ -144,10 +149,13 @@ def trace(
             raise DomainError(f"no sample at radius {r:.3g} fell inside the disk")
         starved = starved or len(vals) < 32
         radii.append(r)
-        averages.append(float(np.mean(vals)))
-        stderrs.append(float(np.std(vals)) / math.sqrt(len(vals)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+            averages.append(float(np.mean(vals)))
+            stderrs.append(float(np.std(vals)) / math.sqrt(len(vals)))
     limit = averages[-1]
     residual = abs(averages[-1] - averages[-2])
+    if not all(map(math.isfinite, (*averages, *stderrs, residual))):
+        raise DomainError("trace estimates overflow the float range")
     return TraceEstimate(
         point=xrad,
         radii=tuple(radii),

@@ -237,19 +237,16 @@ class PiecewiseConstantBoundary:
 # ---------------------------------------------------------------------------
 # fat Cantor construction
 
-REFERENCE_CENTER = Angle(Fraction(1, 2), Fraction(0))  # pi/2
+REMOVAL = Fraction(1, 4)  # stage j cuts arcs of measure REMOVAL**j
 
 
-def kept_arc_measure(n: int, removal: Fraction = Fraction(1, 4)) -> Fraction:
+def kept_arc_measure(n: int) -> Fraction:
     """Exact measure of a stage-n kept arc, without building the 2**n arcs."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("kept_arc_measure: n must be a nonnegative integer")
-    r = Fraction(removal)
-    if not 0 < r < Fraction(1, 2):
-        raise DomainError("kept_arc_measure: removal ratio must lie in (0, 1/2)")
     length = Fraction(1)
     for j in range(1, n + 1):
-        length = (length - r**j) / 2
+        length = (length - REMOVAL**j) / 2
     return length
 
 
@@ -257,25 +254,25 @@ def kept_arc_measure(n: int, removal: Fraction = Fraction(1, 4)) -> Fraction:
 class CantorStage:
     """Stage ``n`` of the fat Cantor construction on the base arc of measure 1
     centered at pi/2.  Stage j removes the centered open arc of measure
-    ``removal**j`` from each of the 2**(j-1) arcs kept so far."""
+    ``REMOVAL**j`` from each of the 2**(j-1) arcs kept so far; ``kept`` holds
+    the 2**n arcs left, in ccw order."""
 
     n: int
-    removal: Fraction
     kept: Tuple[Arc, ...]
-    removed_by_stage: Tuple[Tuple[Arc, ...], ...]
 
     @property
     def removed(self) -> Tuple[Arc, ...]:
-        flat = [a for stage in self.removed_by_stage for a in stage]
-        return tuple(sorted(flat, key=lambda a: a.start.radians))
+        """The 2**n - 1 arcs removed through stage n, in ccw order: the gaps
+        between consecutive kept arcs."""
+        return tuple(Arc(a.end, b.start) for a, b in zip(self.kept, self.kept[1:]))
 
     @property
     def kept_arc_measure(self) -> Fraction:
         """Exact radian measure of each kept arc (all are equal)."""
-        return kept_arc_measure(self.n, self.removal)
+        return kept_arc_measure(self.n)
 
 
-def cantor_stage(n: int, removal: Union[int, Fraction] = Fraction(1, 4)) -> CantorStage:
+def cantor_stage(n: int) -> CantorStage:
     """Construct stage ``n`` (0 <= n <= 24) of the fat Cantor set.
 
     The base arc is [pi/2 - 1/2, pi/2 + 1/2].  All endpoints are exact
@@ -283,36 +280,15 @@ def cantor_stage(n: int, removal: Union[int, Fraction] = Fraction(1, 4)) -> Cant
     """
     if not isinstance(n, int) or n < 0 or n > 24:
         raise DomainError("cantor_stage: n must be an integer in [0, 24]")
-    r = Fraction(removal)
-    if not 0 < r < Fraction(1, 2):
-        raise DomainError("cantor_stage: removal ratio must lie in (0, 1/2)")
     half = Fraction(1, 2)
-    kept: List[Tuple[Fraction, Fraction]] = [(-half, half)]  # offsets from pi/2
-    removed_stages: List[Tuple[Arc, ...]] = []
+    kept = [(-half, half)]  # offsets from pi/2
     for j in range(1, n + 1):
-        cut = r**j
-        if cut >= kept[0][1] - kept[0][0]:
-            raise DomainError("cantor_stage: removal ratio too large for this depth")
-        next_kept: List[Tuple[Fraction, Fraction]] = []
-        stage_removed: List[Arc] = []
-        for a, b in kept:
-            mid = (a + b) / 2
-            lo, hi = mid - cut / 2, mid + cut / 2
-            stage_removed.append(
-                Arc(REFERENCE_CENTER + Angle.of_radians(lo), REFERENCE_CENTER + Angle.of_radians(hi))
-            )
-            next_kept.append((a, lo))
-            next_kept.append((hi, b))
-        kept = next_kept
-        removed_stages.append(tuple(stage_removed))
-    kept_arcs = tuple(
-        Arc(REFERENCE_CENTER + Angle.of_radians(a), REFERENCE_CENTER + Angle.of_radians(b))
-        for a, b in kept
-    )
-    return CantorStage(n=n, removal=r, kept=kept_arcs, removed_by_stage=tuple(removed_stages))
+        length = kept_arc_measure(j)  # what the centered cut leaves at each end
+        kept = [p for a, b in kept for p in ((a, a + length), (b - length, b))]
+    return CantorStage(n, tuple(Arc(Angle(half, a), Angle(half, b)) for a, b in kept))
 
 
-def cantor_measure_limit(removal: Union[int, Fraction] = Fraction(1, 4)) -> Fraction:
+def cantor_measure_limit(removal: Union[int, Fraction] = REMOVAL) -> Fraction:
     """Exact limit of the kept measure: 1 - sum_j 2**(j-1) * removal**j."""
     r = Fraction(removal)
     if not 0 < r < Fraction(1, 2):
@@ -320,15 +296,18 @@ def cantor_measure_limit(removal: Union[int, Fraction] = Fraction(1, 4)) -> Frac
     return 1 - r / (1 - 2 * r)
 
 
+def _kept_endpoints(n: int) -> List[Angle]:
+    return [x for arc in cantor_stage(n).kept for x in (arc.start, arc.end)]
+
+
 def build_fn(n: int) -> PiecewiseConstantBoundary:
     """Indicator of the stage-n kept arcs."""
-    return PiecewiseConstantBoundary.from_arcs(cantor_stage(n).kept, 1.0, 0.0)
+    return PiecewiseConstantBoundary(_kept_endpoints(n), [1.0, 0.0] * 2**n)
 
 
 def build_gn(n: int) -> PiecewiseConstantBoundary:
-    """0 exactly on the arcs removed through stage n, 1 elsewhere."""
-    stage = cantor_stage(n)
-    return PiecewiseConstantBoundary.from_arcs(stage.removed, 0.0, 1.0)
+    """0 exactly on the arcs removed through stage n, 1 elsewhere (constant at n = 0)."""
+    return PiecewiseConstantBoundary(_kept_endpoints(n)[1:-1], [0.0, 1.0] * (2**n - 1) or [1.0])
 
 
 def opposite_caps() -> PiecewiseConstantBoundary:

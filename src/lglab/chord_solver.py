@@ -502,9 +502,10 @@ def _near_optimal(terms: np.ndarray) -> Tuple[List[int], List[float]]:
 
 
 def enumerate_optimal(data) -> Tuple[ChordConfiguration, ...]:
-    """All energy-optimal configurations (within 1e-12 relative), smallest
-    area first.  Exhaustive over the Catalan family; refuses more than
-    ``ENUMERATION_CAP`` (16) transitions."""
+    """All energy-optimal configurations (within 1e-12 relative), sorted by
+    energy, then label area, then matching: element 0 has the least energy,
+    not always the least area.  Exhaustive over the Catalan family; refuses
+    more than ``ENUMERATION_CAP`` (16) transitions."""
     n = len(transitions_of(data))
     if n > ENUMERATION_CAP:
         raise DomainError(f"enumeration capped at {ENUMERATION_CAP} transitions (got {n})")

@@ -33,7 +33,10 @@ if TYPE_CHECKING:  # imported by the commands that need it, with numpy
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):  # data near the float range can overflow a result
+        raise DomainError(f"a reported number is not finite: {x}")
+    return format(x, ".17g")
 
 
 def _json_value(v):
@@ -310,9 +313,10 @@ def cmd_verify(args) -> int:
     }
     try:
         rep = suites[args.suite]()
+        report = _report_dict(rep)
     except (DomainError, NestednessError) as exc:
         return _error(exc)
-    _write(_dump(_report_dict(rep)), args.out)
+    _write(_dump(report), args.out)
     return 0 if rep.passed else 1
 
 
@@ -328,19 +332,19 @@ def cmd_trace(args) -> int:
         est = analysis.trace(
             u, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
         )
+        report = {
+            "point": _fmt(est.point),
+            "radii": [_fmt(r) for r in est.radii],
+            "averages": [_fmt(a) for a in est.averages],
+            "stderrs": [_fmt(s) for s in est.stderrs],
+            "limit": _fmt(est.limit),
+            "residual": _fmt(est.residual),
+            "starved": est.starved,
+            "seed": args.seed,
+            "version": __version__,
+        }
     except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
         return _error(exc)
-    report = {
-        "point": _fmt(est.point),
-        "radii": [_fmt(r) for r in est.radii],
-        "averages": [_fmt(a) for a in est.averages],
-        "stderrs": [_fmt(s) for s in est.stderrs],
-        "limit": _fmt(est.limit),
-        "residual": _fmt(est.residual),
-        "starved": est.starved,
-        "seed": args.seed,
-        "version": __version__,
-    }
     _write(_dump(report), args.out)
     return 0
 

@@ -156,7 +156,10 @@ def check_nestedness(slices: Sequence[LevelSlice]) -> None:
 
 def bv_energy(stack: LevelSetStack) -> float:
     """Total variation of the stack via the coarea formula."""
-    return math.fsum(sl.gap * sl.config.energy for sl in stack.slices)
+    try:
+        return math.fsum(sl.gap * sl.config.energy for sl in stack.slices)
+    except OverflowError:  # finite terms whose sum leaves the float range
+        raise DomainError("BV energy overflows the float range") from None
 
 
 @dataclass(frozen=True)

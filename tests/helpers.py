@@ -46,8 +46,11 @@ def abs_integral(data: PiecewiseConstantBoundary) -> float:
     return float(np.dot(arc_measures(data), np.abs(data.values)))
 
 
-def kept_total(stage: CantorStage):
-    return stage.kept_arc_measure * 2**stage.n
+def kept_total(stage: CantorStage) -> Fraction:
+    """Exact total measure of the arcs the stage holds, summed arc by arc."""
+    measures = [arc.measure for arc in stage.kept]
+    assert all(m.pi_mult == 0 for m in measures)
+    return sum((m.offset for m in measures), Fraction(0))
 
 
 def partition_sum(conv: DiscreteConvolution, theta: np.ndarray) -> np.ndarray:

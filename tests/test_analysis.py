@@ -121,6 +121,12 @@ class TestTrace:
         with pytest.raises(DomainError):
             trace(u, 1.0, samples=samples)
 
+    def test_too_many_samples_rejected(self, caps):
+        # refused before an array of that size is drawn
+        u = solve_binary(caps).evaluate_points
+        with pytest.raises(DomainError, match="samples"):
+            trace(u, 1.5, samples=10**11)
+
     @pytest.mark.parametrize("r0, levels", [(1e-3, 1100), (1e-300, 4)])
     def test_radius_below_double_resolution_rejected(self, caps, r0, levels):
         # at angle 0 every point that close to (1, 0) rounds onto the circle

@@ -25,7 +25,7 @@ _spec.loader.exec_module(bench_solve)
 
 
 @pytest.mark.parametrize("name", ["oracle8q12", "oracle16q8", "oracle24q12", "load200", "lattice200",
-                                  "evalcut6"])
+                                  "evalcut6", "buildgn11"])
 def test_child_prints_the_checked_energy(name):
     assert name in bench_solve.INSTANCES
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -38,7 +38,7 @@ def test_child_prints_the_checked_energy(name):
     if name.startswith("oracle") and len(trans) <= ENUMERATION_CAP:
         want = enumerate_optimal(data)[0].energy
         assert want.hex() == fsum_enumeration(data)[0].energy.hex()  # every row summed exactly
-    elif name.startswith("load"):
+    elif name.startswith(("load", "buildgn")):
         want = math.fsum(bp.radians for bp in data.breakpoints)
     elif name.startswith("evalcut"):
         assert data == cut_config(6).data and trans == cut_config(6).transitions

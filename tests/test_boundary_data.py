@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -155,11 +156,20 @@ class TestCantorStages:
             assert kept_total(st) == Fraction(2**n + 1, 2 ** (n + 1))
 
     def test_removed_counts(self):
-        st = cantor_stage(4)
-        assert [len(stage) for stage in st.removed_by_stage] == [1, 2, 4, 8]
-        for ell, stage in enumerate(st.removed_by_stage, start=1):
-            for arc in stage:
-                assert arc.measure == Angle(0, Fraction(1, 4**ell))
+        measures = [arc.measure for arc in cantor_stage(4).removed]
+        assert all(m.pi_mult == 0 for m in measures)
+        assert Counter(m.offset for m in measures) == {Fraction(1, 4**ell): 2 ** (ell - 1) for ell in range(1, 5)}
+
+    def test_data_equal_the_arcs_checked_by_from_arcs(self):
+        def exact(data):
+            return [(b.pi_mult, b.offset) for b in data.breakpoints], data.values
+
+        for n in range(11):
+            st = cantor_stage(n)
+            assert exact(build_fn(n)) == exact(PCB.from_arcs(st.kept, 1.0, 0.0))
+            assert exact(build_gn(n)) == exact(PCB.from_arcs(st.removed, 0.0, 1.0))
+            measures = Counter(arc.measure for arc in st.removed)
+            assert measures == {Angle(0, Fraction(1, 4**ell)): 2 ** (ell - 1) for ell in range(1, n + 1)}
 
     def test_limit_measure(self):
         assert cantor_measure_limit(Fraction(1, 4)) == Fraction(1, 2)
@@ -168,8 +178,6 @@ class TestCantorStages:
     def test_validation(self):
         with pytest.raises(DomainError):
             cantor_stage(-1)
-        with pytest.raises(DomainError):
-            cantor_stage(3, Fraction(2, 3))
 
 
 class TestCantorData:

@@ -6,6 +6,7 @@ import re
 import contextlib
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -400,6 +401,50 @@ class TestTrace:
         diag = json.loads(err)
         assert diag["error"] == "DomainError"
         assert "samples" in diag["message"]
+
+
+def _domain_error_alone(argv):
+    """Run with warnings as errors: exit 1, no stdout, and one DomainError
+    diagnostic as the only line on stderr; returns its message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "DomainError"
+    return diag["message"]
+
+
+def _data_path(tmp_path, values, turns=("0", "1")):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps({"breakpoints": [[q, "0"] for q in turns], "values": values}))
+    return str(p)
+
+
+class TestNonFiniteResults:
+    # finite data near the float range: each run prints finite numbers or
+    # exits 1 with a diagnostic, never "inf" or "nan" with exit 0
+
+    def test_trace_overflow(self, tmp_path):
+        # 1.0 is a continuity point where the data is 1e307, but the sample
+        # sums overflow
+        path = _data_path(tmp_path, ["1e307", "-1e307"])
+        assert "float range" in _domain_error_alone(["trace", path, "1.0"])
+
+    @pytest.mark.parametrize("mode", ["minimal", "maximal"])
+    def test_solve_infinite_gap(self, tmp_path, mode):
+        path = _data_path(tmp_path, ["1e308", "-1e308"])
+        assert "not finite" in _domain_error_alone(["solve", path, "--mode", mode])
+
+    def test_solve_bv_energy_overflow(self, tmp_path):
+        # every gap and threshold is finite; the sum of the slice energies is not
+        path = _data_path(tmp_path, ["-8e307", "0", "8e307", "0"], turns=("0", "1/2", "1", "3/2"))
+        assert "float range" in _domain_error_alone(["solve", path])
+
+    def test_huge_sample_count(self, caps_path):
+        # refused before any array is drawn
+        assert "samples" in _domain_error_alone(["trace", caps_path, "1.5", "--samples", str(10**11)])
 
 
 def test_version_flag():
