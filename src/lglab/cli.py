@@ -67,6 +67,14 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _loads(text: str):
+    """``json.loads``, with JSON nested too deeply for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _error(exc: Exception) -> int:
     """Print the JSON diagnostic for a rejected input; the exit code is 1."""
     sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
@@ -124,15 +132,12 @@ def cmd_generate(args) -> int:
             print("usage: generate arcs '<json list of [start, end]>'", file=sys.stderr)
             return 2
         try:
-            raw = json.loads(args.spec[1])
+            raw = _loads(args.spec[1])
             if not isinstance(raw, list):
                 raise ValueError("expected a JSON list")
-            if not raw:
-                data = PiecewiseConstantBoundary.constant(0.0)
-            else:
-                arcs = [Arc(Angle.of_radians(float(s)), Angle.of_radians(float(e))) for s, e in raw]
-                data = PiecewiseConstantBoundary.from_arcs(arcs, 1.0, 0.0)
-        except (ValueError, TypeError, OverflowError, DomainError) as exc:
+            arcs = [Arc(Angle.of_radians(float(s)), Angle.of_radians(float(e))) for s, e in raw]
+            data = PiecewiseConstantBoundary.from_arcs(arcs, 1.0, 0.0)
+        except (ValueError, TypeError, OverflowError) as exc:
             print(f"error: malformed arcs spec: {exc}", file=sys.stderr)
             return 2
     else:
@@ -147,7 +152,7 @@ def cmd_generate(args) -> int:
 
 def _load_data(path: str) -> PiecewiseConstantBoundary:
     with open(path) as fh:
-        return PiecewiseConstantBoundary.from_json_dict(json.load(fh))
+        return PiecewiseConstantBoundary.from_json_dict(_loads(fh.read()))
 
 
 def _config_dict(cfg: ChordConfiguration) -> dict:
@@ -161,31 +166,24 @@ def _config_dict(cfg: ChordConfiguration) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        data = _load_data(args.input)
-        if data.is_binary:
-            cfg = solve_binary(data, args.mode)
-            report = {"mode": args.mode, "kind": "binary", **_config_dict(cfg)}
-            stack = None
-        else:
-            stack = solve_general(data, args.mode)
-            report = {
-                "mode": args.mode,
-                "kind": "stack",
-                "bv_energy": _fmt(bv_energy(stack)),
-                "values": [_fmt(v) for v in stack.values],
-                "levels": [
-                    {"threshold": _fmt(sl.threshold), "gap": _fmt(sl.gap), **_config_dict(sl.config)}
-                    for sl in stack.slices
-                ],
-            }
-            cfg = None
-    except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
-        return _error(exc)
+    data = _load_data(args.input)
+    if data.is_binary:
+        solution = solve_binary(data, args.mode)
+        report = {"mode": args.mode, "kind": "binary", **_config_dict(solution)}
+    else:
+        solution = solve_general(data, args.mode)
+        report = {
+            "mode": args.mode,
+            "kind": "stack",
+            "bv_energy": _fmt(bv_energy(solution)),
+            "values": [_fmt(v) for v in solution.values],
+            "levels": [
+                {"threshold": _fmt(sl.threshold), "gap": _fmt(sl.gap), **_config_dict(sl.config)}
+                for sl in solution.slices
+            ],
+        }
     if args.render:
-        svg = render_svg(data, cfg if cfg is not None else stack)
-        with open(args.render, "w") as fh:
-            fh.write(svg)
+        _write(render_svg(data, solution), args.render)
     _write(_dump(report), args.out)
     return 0
 
@@ -249,7 +247,7 @@ def render_svg(data: PiecewiseConstantBoundary, solution) -> str:
         n = max(len(solution.slices), 1)
         for sl in solution.slices:
             parts.extend(_render_config(sl.config, opacity=0.7 / n))
-    elif solution is not None:
+    else:
         parts.extend(_render_config(solution))
     parts.append(
         f'<circle cx="{_CX}" cy="{_CY}" r="{_R}" fill="none" stroke="black" stroke-width="2"/>'
@@ -292,14 +290,6 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
     return _merge_reports("monotone", [rep_a, rep_b], args.seed)
 
 
-def _suite_inequalities(args) -> analysis.ScenarioReport:
-    from . import analysis
-
-    rep_a = analysis.trapezoid_check(10)
-    rep_b = analysis.sin_meanval_check(range(6, 21), Fraction(1, 4))
-    return _merge_reports("inequalities", [rep_a, rep_b], args.seed)
-
-
 def cmd_verify(args) -> int:
     from . import analysis
 
@@ -308,15 +298,15 @@ def cmd_verify(args) -> int:
         "nonlinearity": lambda: analysis.nonlin_demo(8, seed=args.seed),
         "nonlocality": lambda: analysis.nonlocality_demo(1, 1, seed=args.seed),
         "monotone": lambda: _suite_monotone(args),
-        "inequalities": lambda: _suite_inequalities(args),
+        "inequalities": lambda: _merge_reports(
+            "inequalities",
+            [analysis.trapezoid_check(10), analysis.sin_meanval_check(range(6, 21), Fraction(1, 4))],
+            args.seed,
+        ),
         "oracle": lambda: analysis.oracle_check(200, seed=args.seed),
     }
-    try:
-        rep = suites[args.suite]()
-        report = _report_dict(rep)
-    except (DomainError, NestednessError) as exc:
-        return _error(exc)
-    _write(_dump(report), args.out)
+    rep = suites[args.suite]()
+    _write(_dump(_report_dict(rep)), args.out)
     return 0 if rep.passed else 1
 
 
@@ -326,25 +316,21 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     from . import analysis
 
-    try:
-        data = _load_data(args.input)
-        u = solve_general(data)
-        est = analysis.trace(
-            u, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
-        )
-        report = {
-            "point": _fmt(est.point),
-            "radii": [_fmt(r) for r in est.radii],
-            "averages": [_fmt(a) for a in est.averages],
-            "stderrs": [_fmt(s) for s in est.stderrs],
-            "limit": _fmt(est.limit),
-            "residual": _fmt(est.residual),
-            "starved": est.starved,
-            "seed": args.seed,
-            "version": __version__,
-        }
-    except (DomainError, NestednessError, OSError, ValueError, KeyError) as exc:
-        return _error(exc)
+    u = solve_general(_load_data(args.input))
+    est = analysis.trace(
+        u, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
+    )
+    report = {
+        "point": _fmt(est.point),
+        "radii": [_fmt(r) for r in est.radii],
+        "averages": [_fmt(a) for a in est.averages],
+        "stderrs": [_fmt(s) for s in est.stderrs],
+        "limit": _fmt(est.limit),
+        "residual": _fmt(est.residual),
+        "starved": est.starved,
+        "seed": args.seed,
+        "version": __version__,
+    }
     _write(_dump(report), args.out)
     return 0
 
@@ -402,10 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every rejected input ends here, as the exit-1 JSON diagnostic."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0:
-        return _error(DomainError(f"--seed must be a non-negative integer, got {args.seed}"))
-    return args.fn(args)
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
+        return args.fn(args)
+    except (ValueError, NestednessError, OSError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

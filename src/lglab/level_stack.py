@@ -1,10 +1,12 @@
 """Multi-level solutions assembled from binary slices.
 
 General piecewise constant data is solved one superlevel set at a time:
-thresholds sit at midpoints between consecutive distinct data values, each
-binary slice gets the chord solver, and the solution evaluates a point by
-counting how many slices contain it.  The coarea formula turns the slice
-energies into the total variation of the stack.
+for consecutive distinct data values lo < hi the slice is ``{data > lo}``,
+which is exactly ``{data >= hi}``, labelled by the midpoint threshold
+``lo / 2 + hi / 2``; each binary slice gets the chord solver, and the
+solution evaluates a point by counting how many slices contain it.  The
+coarea formula turns the slice energies into the total variation of the
+stack.
 
 A disk function is any callable that takes an ``(n, 2)`` float array of
 points strictly inside the disk and returns ``n`` values: ``LevelSetStack``
@@ -91,8 +93,10 @@ class NestednessError(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelSlice:
-    """One binary slice of a stack: the region where the solution exceeds
-    ``threshold``, carrying ``gap`` of the solution's value."""
+    """One binary slice of a stack: the solution of ``{data > lo}`` for
+    consecutive data values lo < hi, carrying ``gap = hi - lo`` of the
+    solution's value.  ``threshold`` is the midpoint label ``lo / 2 + hi / 2``,
+    halved before the sum so that it stays finite."""
 
     threshold: float
     gap: float
@@ -130,19 +134,19 @@ class LevelSetStack:
 def solve_general(data, mode: str = "minimal") -> LevelSetStack:
     """Solve piecewise constant data by stacking binary superlevel slices.
 
-    Each threshold halfway between consecutive distinct data values is solved
-    independently; nestedness of the resulting regions is a consequence of
-    optimality, not an input constraint, so every pair of consecutive slices
-    is then checked exactly with ``region_subset``.
+    Each slice ``{data > lo}`` between consecutive distinct data values is
+    solved independently; nestedness of the resulting regions is a
+    consequence of optimality, not an input constraint, so every pair of
+    consecutive slices is then checked exactly with ``region_subset``.
     """
     values = sorted(set(float(v) for v in data.values))
     if len(values) == 1:
         return LevelSetStack(values, ())
     slices: List[LevelSlice] = []
     for lo, hi in zip(values, values[1:]):
-        t = 0.5 * (lo + hi)
-        cfg = solve_binary(data.superlevel(t), mode)
-        slices.append(LevelSlice(t, hi - lo, cfg))
+        # the slice is cut at lo itself: a midpoint can round to hi or overflow
+        cfg = solve_binary(data.superlevel(lo), mode)
+        slices.append(LevelSlice(lo / 2 + hi / 2, hi - lo, cfg))
     check_nestedness(slices)
     return LevelSetStack(values, slices)
 

@@ -256,6 +256,17 @@ class TestScenarios:
         with pytest.raises(DomainError):
             nonlin_demo(3)
 
+    def test_nonlinearity_fails_when_stages_do_not_nest(self, monkeypatch):
+        from lglab import analysis
+
+        cut = analysis.cut_config
+        # stage 4 replaced by stage 1, whose region is larger than stage 3's
+        monkeypatch.setattr(analysis, "cut_config", lambda n: cut(1) if n == 4 else cut(n))
+        rep = nonlin_demo(4)
+        nest = next(v for v in rep.verdicts if v.name == "consecutive stage solutions nest")
+        assert nest.value is False and not nest.passed
+        assert not rep.passed
+
     def test_nonlocality(self):
         rep = nonlocality_demo(1, 1)
         assert rep.passed

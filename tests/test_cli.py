@@ -472,6 +472,40 @@ def test_negative_seed_structured_error(caps_path, argv):
 
 
 # ---------------------------------------------------------------------------
+# one failure boundary: an unwritable output file or JSON nested too deeply
+# is one diagnostic with exit 1, whichever command meets it
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["solve", "{caps}", "--out", "/nonexistent/x"], "FileNotFoundError"),
+        (["solve", "{caps}", "--render", "/nonexistent/x"], "FileNotFoundError"),
+        (["generate", "notconverge", "--out", "/nonexistent/x"], "FileNotFoundError"),
+        (["verify", "inequalities", "--out", "/nonexistent/x"], "FileNotFoundError"),
+        (["trace", "{caps}", "1.0", "--out", "/nonexistent/x"], "FileNotFoundError"),
+        (["solve", "{deep}"], "ValueError"),
+        (["trace", "{deep}", "1.0"], "ValueError"),
+    ],
+)
+def test_failure_is_one_diagnostic(caps_path, tmp_path, argv, error):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run([a.format(caps=caps_path, deep=deep) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+
+
+def test_deeply_nested_arcs_spec_exit_2():
+    code, out, err = run(["generate", "arcs", DEEP])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed arcs spec")
+
+
+# ---------------------------------------------------------------------------
 # numpy stays off the import path, and off generate and small binary solves
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -143,6 +143,28 @@ class TestSolveGeneral:
         for sl in stack.slices:
             assert sl.config == solve_binary(data.superlevel(sl.threshold))
 
+    ONE_UP = math.nextafter(1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 9e307, 1.7e308],  # the top midpoint overflows to inf
+            [ONE_UP, math.nextafter(ONE_UP, 2.0)],  # the midpoint rounds to the upper value
+        ],
+    )
+    def test_every_slice_keeps_its_upper_value(self, values):
+        turns = [Fraction(2 * k, len(values)) for k in range(len(values))]
+        data = PCB([_pi(q) for q in turns], values)
+        stack = solve_general(data)
+        assert stack.values == tuple(values)
+        for lo, hi, sl in zip(values, values[1:], stack.slices):
+            assert sl.config == solve_binary(data.superlevel(lo))
+            assert len(sl.config.matching) == 1
+            assert sl.threshold == lo / 2 + hi / 2
+        # a point near the middle of the arc where the data takes its top value
+        mid = math.pi * float(turns[-1] / 2 + 1)
+        assert stack(np.array([[0.99 * math.cos(mid), 0.99 * math.sin(mid)]]))[0] == values[-1]
+
     def test_affine_invariance_of_structure(self, caps):
         # scaling and shifting the values must not change the chords
         data = shifted(caps.scaled(3.0), -1.0)
