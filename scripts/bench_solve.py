@@ -33,9 +33,11 @@ call is chosen by the instance name.  Three more instances time a whole
 fresh interpreter instead of one call in it: ``import`` runs
 ``python -c "import lglab"``, ``solvecaps`` runs ``lglab solve`` on the
 opposite caps (written once by the first tree's ``lglab generate
-notconverge``) and ``verifynonlin`` runs ``lglab verify nonlinearity``,
-whose limit traces evaluate the cut configurations, so all three include
-the interpreter's start and the package import.
+notconverge``), and ``verifynonlin``, ``verifynonexist`` and
+``verifynonloc`` run ``lglab verify`` of the suites ``nonlinearity``
+(whose limit traces evaluate the cut configurations), ``nonexistence``
+and ``nonlocality``, so each includes the interpreter's start and the
+package import.
 
 The first call in each process is cold: it pays first-use costs such as
 numpy's call caches and the matching tables, but not numpy's import, which
@@ -45,7 +47,7 @@ times the same call again, warm.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
-and of the peak RSS, or of the process time (``wall_s``) for the three
+and of the peak RSS, or of the process time (``wall_s``) for the five
 process instances, the raw runs, the host, and each tree's ``src/`` line
 count.
 """
@@ -68,8 +70,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
              "load200", "buildgn11", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
-             "verifynonlin")
-PROCESS_INSTANCES = ("import", "solvecaps", "verifynonlin")
+             "verifynonlin", "verifynonexist", "verifynonloc")
+PROCESS_INSTANCES = ("import", "solvecaps", "verifynonlin", "verifynonexist", "verifynonloc")
+VERIFY_SUITES = {"verifynonlin": "nonlinearity", "verifynonexist": "nonexistence", "verifynonloc": "nonlocality"}
 CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
@@ -182,13 +185,14 @@ def run_child(src: Path, name: str) -> dict:
 
 def run_process(src: Path, name: str, caps: Path) -> dict:
     """Time one fresh interpreter that imports ``lglab`` (``import``), runs
-    ``lglab solve`` on the caps file (``solvecaps``) or runs ``lglab verify
-    nonlinearity`` (``verifynonlin``); the check value is the reported
-    energy, or the value of the last verdict, the worst sector average of
-    the limit's traces."""
-    argv = {"import": ["-c", "import lglab"],
-            "solvecaps": ["-c", CLI_SHIM, "solve", str(caps)],
-            "verifynonlin": ["-c", CLI_SHIM, "verify", "nonlinearity"]}[name]
+    ``lglab solve`` on the caps file (``solvecaps``) or runs one ``lglab
+    verify`` suite (``VERIFY_SUITES``); the check value is the reported
+    energy, or the value of the last verdict (for ``verifynonlin`` the
+    worst sector average of the limit's traces)."""
+    if name in VERIFY_SUITES:
+        argv = ["-c", CLI_SHIM, "verify", VERIFY_SUITES[name]]
+    else:
+        argv = {"import": ["-c", "import lglab"], "solvecaps": ["-c", CLI_SHIM, "solve", str(caps)]}[name]
     env = dict(os.environ, PYTHONPATH=str(src))
     t = time.perf_counter()
     out = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
@@ -196,7 +200,7 @@ def run_process(src: Path, name: str, caps: Path) -> dict:
     if name == "import":
         return {"wall_s": wall_s, "transitions": 0, "energy": None}
     report = json.loads(out.stdout)
-    if name == "verifynonlin":
+    if name in VERIFY_SUITES:
         return {"wall_s": wall_s, "transitions": 0, "energy": float(report["verdicts"][-1]["value"]).hex()}
     return {"wall_s": wall_s, "transitions": len(report["transition_angles"]),
             "energy": float(report["energy"]).hex()}
@@ -278,7 +282,7 @@ def main(argv=None) -> int:
     report = {
         "benchmark": ("solve_binary (minimal mode), enumerate_optimal, a data path or evaluate_points, one cold and "
                       "one warm call per fresh process; or a whole fresh process importing lglab, solving the "
-                      "opposite caps or verifying nonlinearity"),
+                      "opposite caps or running one verify suite"),
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),

@@ -126,9 +126,6 @@ class PiecewiseConstantBoundary:
             raise DomainError("complement needs binary data")
         return PiecewiseConstantBoundary(self.breakpoints, [1.0 - v for v in self.values])
 
-    def scaled(self, s: float) -> "PiecewiseConstantBoundary":
-        return PiecewiseConstantBoundary(self.breakpoints, [s * v for v in self.values])
-
     # -- evaluation -----------------------------------------------------
     def value_at(self, angle: Union[Angle, float]) -> float:
         if self.is_constant:

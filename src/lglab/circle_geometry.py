@@ -170,11 +170,6 @@ class Angle:
     def __float__(self) -> float:
         return self.radians
 
-    def point(self) -> Tuple[float, float]:
-        """The boundary point (cos, sin) of this angle."""
-        r = self.radians
-        return (math.cos(r), math.sin(r))
-
     # -- exact arithmetic ----------------------------------------------
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.pi_mult + other.pi_mult, self.offset + other.offset)
@@ -299,9 +294,6 @@ class Arc:
     @property
     def measure_radians(self) -> float:
         return self.measure.radians
-
-    def midpoint(self) -> Angle:
-        return (self.start + self.measure * Fraction(1, 2)).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,10 @@ def _error(exc: Exception) -> int:
     return 1
 
 
-def _report_dict(rep: analysis.ScenarioReport) -> dict:
+def _report_dict(rep: analysis.ScenarioReport, seed: int) -> dict:
     return {
         "scenario": rep.scenario,
-        "seed": rep.seed,
+        "seed": seed,
         "version": __version__,
         "details": _json_value(rep.details),
         "verdicts": [
@@ -99,10 +99,10 @@ def _report_dict(rep: analysis.ScenarioReport) -> dict:
     }
 
 
-def _merge_reports(name: str, parts: List[analysis.ScenarioReport], seed: int) -> analysis.ScenarioReport:
+def _merge_reports(name: str, parts: List[analysis.ScenarioReport]) -> analysis.ScenarioReport:
     from . import analysis
 
-    merged = analysis.ScenarioReport(name, seed=seed)
+    merged = analysis.ScenarioReport(name)
     for part in parts:
         for v in part.verdicts:
             merged.add(f"{part.scenario}: {v.name}", v.value, v.tolerance, v.passed)
@@ -271,7 +271,7 @@ def render_svg(data: PiecewiseConstantBoundary, solution) -> str:
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_monotone(args) -> analysis.ScenarioReport:
+def _suite_monotone() -> analysis.ScenarioReport:
     from . import analysis
 
     fixed = PiecewiseConstantBoundary(
@@ -287,26 +287,25 @@ def _suite_monotone(args) -> analysis.ScenarioReport:
     rep_a.scenario = "fixed-arcs"
     rep_b = analysis.monotone_pipeline(opposite_caps(), 5)
     rep_b.scenario = "opposite-caps"
-    return _merge_reports("monotone", [rep_a, rep_b], args.seed)
+    return _merge_reports("monotone", [rep_a, rep_b])
 
 
 def cmd_verify(args) -> int:
     from . import analysis
 
     suites = {
-        "nonexistence": lambda: analysis.cantor_nonexistence_demo(8, seed=args.seed),
+        "nonexistence": lambda: analysis.cantor_nonexistence_demo(8),
         "nonlinearity": lambda: analysis.nonlin_demo(8, seed=args.seed),
-        "nonlocality": lambda: analysis.nonlocality_demo(1, 1, seed=args.seed),
-        "monotone": lambda: _suite_monotone(args),
+        "nonlocality": lambda: analysis.nonlocality_demo(1, 1),
+        "monotone": _suite_monotone,
         "inequalities": lambda: _merge_reports(
             "inequalities",
             [analysis.trapezoid_check(10), analysis.sin_meanval_check(range(6, 21), Fraction(1, 4))],
-            args.seed,
         ),
         "oracle": lambda: analysis.oracle_check(200, seed=args.seed),
     }
     rep = suites[args.suite]()
-    _write(_dump(_report_dict(rep)), args.out)
+    _write(_dump(_report_dict(rep, args.seed)), args.out)
     return 0 if rep.passed else 1
 
 

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +26,23 @@ def arc_contains(arc: Arc, angle: Angle) -> bool:
     return (pos - arc.measure).sign() < 0
 
 
+def point(angle: Angle) -> Tuple[float, float]:
+    """The boundary point (cos, sin) of an angle."""
+    r = angle.radians
+    return (math.cos(r), math.sin(r))
+
+
+def midpoint(arc: Arc) -> Angle:
+    """The exact angle halfway along an arc, in normal form."""
+    return (arc.start + arc.measure * Fraction(1, 2)).normalized()
+
+
 def shifted(data: PiecewiseConstantBoundary, c: float) -> PiecewiseConstantBoundary:
     return PiecewiseConstantBoundary(data.breakpoints, [v + c for v in data.values])
+
+
+def scaled(data: PiecewiseConstantBoundary, s: float) -> PiecewiseConstantBoundary:
+    return PiecewiseConstantBoundary(data.breakpoints, [s * v for v in data.values])
 
 
 def arc_measures(data: PiecewiseConstantBoundary) -> np.ndarray:
@@ -96,13 +111,13 @@ def cross_product_labels(cfg: ChordConfiguration, pts: np.ndarray) -> np.ndarray
     """Labels (0/1) at planar points by one cross-product test per chord:
     the base value flipped once per chord that has the point strictly on
     its arc side, the side of the arc midpoint, with the chord's endpoints
-    from ``Angle.point()``."""
+    from ``point``."""
     pts = np.asarray(pts, dtype=float)
     flip = np.zeros(len(pts), dtype=np.int64)
     u, bps = cfg.data._rad, cfg.data.breakpoints
     for i, j in cfg.matching:
-        p = np.array(bps[i].point())
-        q = np.array(bps[j].point())
+        p = np.array(point(bps[i]))
+        q = np.array(point(bps[j]))
         mid = 0.5 * (u[i] + u[j])
         r = np.array([math.cos(mid), math.sin(mid)])
         d = q - p

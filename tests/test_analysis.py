@@ -1,15 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lglab.circle_geometry import Angle, DomainError
+from lglab.circle_geometry import Angle, DomainError, ccw_measure
+from lglab import boundary_data
 from lglab.boundary_data import (
     PiecewiseConstantBoundary,
     build_fn,
     build_gn,
+    cantor_stage,
     eta_minus,
     opposite_caps,
     quantize,
@@ -273,6 +276,48 @@ class TestScenarios:
         rep2 = nonlocality_demo(2, 2)
         assert rep2.passed
 
+    def test_cantor_scenarios_trace_nothing(self, monkeypatch):
+        # the zero limit's trace is 0 by definition: no scenario samples it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zero function must not be traced")
+
+        monkeypatch.setattr(analysis, "trace", refuse)
+        assert cantor_nonexistence_demo(8).passed
+        assert nonlocality_demo(1, 1).passed
+        assert nonlocality_demo(2, 2).passed
+
+    def test_cantor_stage_data_built_once(self, monkeypatch):
+        built = Counter()
+        real = boundary_data._kept_endpoints
+
+        def counted(n):
+            built[n] += 1
+            return real(n)
+
+        monkeypatch.setattr(boundary_data, "_kept_endpoints", counted)
+        monkeypatch.setattr(analysis, "_kept_endpoints", counted)
+        analysis.cap_config.cache_clear()
+        cantor_nonexistence_demo(8)
+        assert built == Counter(range(7))  # stages 0..6, each once
+        built.clear()
+        nonlocality_demo(2, 3)
+        assert built == Counter(range(2, 8))  # stages k..k+5, each once
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_restricted_data_lies_in_its_window(self, k):
+        for m in range(1, 2 ** k + 1):
+            window = cantor_stage(k).kept[m - 1]
+            for n in range(k, k + 6):
+                block = 2 ** (n - k)
+                data = analysis._restricted_data(k, m, n)
+                arcs = data.support_arcs(1.0)
+                assert len(arcs) == block
+                for arc in arcs:  # closed-interval coverage, in exact angle arithmetic
+                    off = ccw_measure(window.start, arc.start)
+                    assert ((off + arc.measure) - window.measure).sign() <= 0
+                kept = cantor_stage(n).kept[(m - 1) * block : m * block]
+                assert data == PiecewiseConstantBoundary.from_arcs(kept, 1.0, 0.0)
+
     def test_nonlocality_validation(self):
         with pytest.raises(DomainError):
             nonlocality_demo(1, 3)
@@ -429,6 +474,6 @@ def test_report_structure():
     rep = trapezoid_check(2)
     d = {"scenario": rep.scenario, "n": len(rep.verdicts)}
     assert d["scenario"] == "trapezoid"
-    assert rep.seed == analysis.DEFAULT_SEED
+    assert "seed" not in vars(rep)  # the CLI writes the seed of the run
     for v in rep.verdicts:
         assert isinstance(v.passed, bool)

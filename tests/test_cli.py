@@ -311,8 +311,10 @@ class TestVerify:
         assert a == b
 
     def test_seed_is_reported(self):
-        rep = json.loads(run(["verify", "nonlocality", "--seed", "123"])[1])
-        assert rep["seed"] == 123
+        # the CLI writes the seed of the run into every report, sampled or not
+        for suite in ("nonexistence", "nonlinearity", "nonlocality", "monotone", "inequalities", "oracle"):
+            rep = json.loads(run(["verify", suite, "--seed", "123"])[1])
+            assert rep["seed"] == 123, suite
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -427,10 +429,15 @@ class TestNonFiniteResults:
     # exits 1 with a diagnostic, never "inf" or "nan" with exit 0
 
     def test_trace_overflow(self, tmp_path):
-        # 1.0 is a continuity point where the data is 1e307, but the sample
-        # sums overflow
+        # continuity points where the data is +-1e307: the unscaled sample
+        # sums would overflow, the scaled ones give the data value
         path = _data_path(tmp_path, ["1e307", "-1e307"])
-        assert "float range" in _domain_error_alone(["trace", path, "1.0"])
+        for angle, value in (("0.5", 1e307), ("4.0", -1e307)):
+            code, out, err = run(["trace", path, angle])
+            assert (code, err) == (0, "")
+            rep = json.loads(out)
+            assert abs(float(rep["limit"]) - value) <= 1e-15 * abs(value)
+            assert all(abs(float(a) - value) <= 1e-15 * abs(value) for a in rep["averages"])
 
     @pytest.mark.parametrize("mode", ["minimal", "maximal"])
     def test_solve_infinite_gap(self, tmp_path, mode):

@@ -23,7 +23,7 @@ from lglab.level_stack import (
     l1_distance,
     solve_general,
 )
-from helpers import shifted
+from helpers import scaled, shifted
 
 PCB = PiecewiseConstantBoundary
 E_F1 = 0.7456131870490795
@@ -167,7 +167,7 @@ class TestSolveGeneral:
 
     def test_affine_invariance_of_structure(self, caps):
         # scaling and shifting the values must not change the chords
-        data = shifted(caps.scaled(3.0), -1.0)
+        data = shifted(scaled(caps, 3.0), -1.0)
         stack = solve_general(data)
         assert len(stack.slices) == 1
         assert stack.slices[0].config.matching == solve_binary(caps).matching
@@ -180,7 +180,7 @@ class TestBVEnergy:
         assert bv_energy(stack) == solve_binary(caps).energy
 
     def test_scaled_binary(self):
-        stack = solve_general(build_fn(1).scaled(2.0))
+        stack = solve_general(scaled(build_fn(1), 2.0))
         assert bv_energy(stack) == 2.0 * E_F1
 
     def test_coarea_sum(self):
