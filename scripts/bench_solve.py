@@ -25,19 +25,20 @@ M points of pi/Q: ``oracle8q12`` (a seeded subset, the median size of the
 DP takes its numpy fill and enumeration is refused, so only the two solves
 run).  ``evalcut6`` times ``evaluate_points`` of the stage-6 cut
 configuration (``analysis.cut_config(6)``, 126 transitions) on 200k
-``disk_samples``, the sampled labels that ``l1_distance`` and ``trace``
-read.  ``buildgn11`` times the construction itself: the call is
+``disk_samples``, the sampled labels that ``l1_distance`` reads (``trace``
+computes its averages exactly and reads no samples).  ``buildgn11`` times the construction itself: the call is
 ``build_gn(11)``, the complement datum of Cantor stage 11 with 4094
 breakpoints, and its check value is the ``fsum`` of their radians.  The
-call is chosen by the instance name.  Three more instances time a whole
+call is chosen by the instance name.  Six more instances time a whole
 fresh interpreter instead of one call in it: ``import`` runs
 ``python -c "import lglab"``, ``solvecaps`` runs ``lglab solve`` on the
 opposite caps (written once by the first tree's ``lglab generate
-notconverge``), and ``verifynonlin``, ``verifynonexist`` and
-``verifynonloc`` run ``lglab verify`` of the suites ``nonlinearity``
-(whose limit traces evaluate the cut configurations), ``nonexistence``
-and ``nonlocality``, so each includes the interpreter's start and the
-package import.
+notconverge``), ``tracecaps`` runs ``lglab trace`` on them at the
+continuity point ``TRACE_ANGLE`` (about pi/2, inside a cap), and
+``verifynonlin``, ``verifynonexist`` and ``verifynonloc`` run ``lglab
+verify`` of the suites ``nonlinearity`` (whose limit traces read the cut
+configuration of stage 12), ``nonexistence`` and ``nonlocality``, so each
+includes the interpreter's start and the package import.
 
 The first call in each process is cold: it pays first-use costs such as
 numpy's call caches and the matching tables, but not numpy's import, which
@@ -47,7 +48,7 @@ times the same call again, warm.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
-and of the peak RSS, or of the process time (``wall_s``) for the five
+and of the peak RSS, or of the process time (``wall_s``) for the six
 process instances, the raw runs, the host, and each tree's ``src/`` line
 count.
 """
@@ -70,14 +71,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
              "load200", "buildgn11", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
-             "verifynonlin", "verifynonexist", "verifynonloc")
-PROCESS_INSTANCES = ("import", "solvecaps", "verifynonlin", "verifynonexist", "verifynonloc")
+             "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc")
+PROCESS_INSTANCES = ("import", "solvecaps", "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc")
 VERIFY_SUITES = {"verifynonlin": "nonlinearity", "verifynonexist": "nonexistence", "verifynonloc": "nonlocality"}
 CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
 EVAL_SAMPLES = 200_000
 REPEATS = 10
+TRACE_ANGLE = "1.5707963"
 
 
 def build(name: str):
@@ -185,14 +187,16 @@ def run_child(src: Path, name: str) -> dict:
 
 def run_process(src: Path, name: str, caps: Path) -> dict:
     """Time one fresh interpreter that imports ``lglab`` (``import``), runs
-    ``lglab solve`` on the caps file (``solvecaps``) or runs one ``lglab
-    verify`` suite (``VERIFY_SUITES``); the check value is the reported
-    energy, or the value of the last verdict (for ``verifynonlin`` the
-    worst sector average of the limit's traces)."""
+    ``lglab solve`` or ``lglab trace`` on the caps file (``solvecaps``,
+    ``tracecaps``) or runs one ``lglab verify`` suite (``VERIFY_SUITES``);
+    the check value is the reported energy, the trace's limit, or the value
+    of the last verdict (for ``verifynonlin`` the worst sector average of
+    the limit's traces)."""
     if name in VERIFY_SUITES:
         argv = ["-c", CLI_SHIM, "verify", VERIFY_SUITES[name]]
     else:
-        argv = {"import": ["-c", "import lglab"], "solvecaps": ["-c", CLI_SHIM, "solve", str(caps)]}[name]
+        argv = {"import": ["-c", "import lglab"], "solvecaps": ["-c", CLI_SHIM, "solve", str(caps)],
+                "tracecaps": ["-c", CLI_SHIM, "trace", str(caps), TRACE_ANGLE]}[name]
     env = dict(os.environ, PYTHONPATH=str(src))
     t = time.perf_counter()
     out = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT, check=True, capture_output=True, text=True)
@@ -202,6 +206,8 @@ def run_process(src: Path, name: str, caps: Path) -> dict:
     report = json.loads(out.stdout)
     if name in VERIFY_SUITES:
         return {"wall_s": wall_s, "transitions": 0, "energy": float(report["verdicts"][-1]["value"]).hex()}
+    if name == "tracecaps":
+        return {"wall_s": wall_s, "transitions": 0, "energy": float(report["limit"]).hex()}
     return {"wall_s": wall_s, "transitions": len(report["transition_angles"]),
             "energy": float(report["energy"]).hex()}
 
@@ -281,8 +287,8 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": ("solve_binary (minimal mode), enumerate_optimal, a data path or evaluate_points, one cold and "
-                      "one warm call per fresh process; or a whole fresh process importing lglab, solving the "
-                      "opposite caps or running one verify suite"),
+                      "one warm call per fresh process; or a whole fresh process importing lglab, solving or "
+                      "tracing the opposite caps or running one verify suite"),
         "command": "python3 scripts/bench_solve.py " + " ".join(
             f"--tree {label}=<{label} src>" for label, _ in trees),
         "host": host(),

@@ -12,6 +12,7 @@ from .circle_geometry import (
     Angle,
     Arc,
     DomainError,
+    NestednessError,
     chord_length,
     segment_area,
 )
@@ -38,15 +39,17 @@ from .chord_solver import (
 
 # The verification scenarios and the multi-level solutions load on first use
 # of one of their names (PEP 562): importing the package loads neither, nor
-# numpy, and generating data or solving small data never loads numpy.  Even
+# numpy, and generating data, solving or tracing small data never loads
+# numpy.  The CLI's default seed and its exception types live here and in
+# circle_geometry, so its entry point needs neither module.  Even
 # without numpy they cost: with PYTHONDONTWRITEBYTECODE=1 each fresh process
 # compiles them from source, about 14 ms (analysis) and 4 ms (level_stack) of
 # self time against about 45 ms for all of `import lglab` (-X importtime,
 # 8 runs, Python 3.11, 2 vCPUs).
 _LAZY = {
     "level_stack": (
-        "DEFAULT_SEED", "L1Estimate", "LevelSetStack", "LevelSlice", "NestednessError",
-        "bv_energy", "disk_samples", "l1_distance", "solve_general",
+        "L1Estimate", "LevelSetStack", "LevelSlice", "bv_energy", "disk_samples", "l1_distance",
+        "solve_general",
     ),
     "analysis": (
         "ScenarioReport", "TraceEstimate", "Verdict", "cantor_nonexistence_demo",
@@ -68,6 +71,7 @@ def __dir__():
 
 
 __version__ = "0.1.0"
+DEFAULT_SEED = 0xC0FFEE  # the CLI's --seed and the seeded samplers' default
 
 __all__ = [
     "Angle",

@@ -275,14 +275,8 @@ def cantor_stage(n: int) -> CantorStage:
     The base arc is [pi/2 - 1/2, pi/2 + 1/2].  All endpoints are exact
     rational offsets from pi/2; note the arc count grows as 2**n.
     """
-    if not isinstance(n, int) or n < 0 or n > 24:
-        raise DomainError("cantor_stage: n must be an integer in [0, 24]")
-    half = Fraction(1, 2)
-    kept = [(-half, half)]  # offsets from pi/2
-    for j in range(1, n + 1):
-        length = kept_arc_measure(j)  # what the centered cut leaves at each end
-        kept = [p for a, b in kept for p in ((a, a + length), (b - length, b))]
-    return CantorStage(n, tuple(Arc(Angle(half, a), Angle(half, b)) for a, b in kept))
+    ends = _kept_endpoints(n)
+    return CantorStage(n, tuple(Arc(a, b) for a, b in zip(ends[::2], ends[1::2])))
 
 
 def cantor_measure_limit(removal: Union[int, Fraction] = REMOVAL) -> Fraction:
@@ -294,7 +288,17 @@ def cantor_measure_limit(removal: Union[int, Fraction] = REMOVAL) -> Fraction:
 
 
 def _kept_endpoints(n: int) -> List[Angle]:
-    return [x for arc in cantor_stage(n).kept for x in (arc.start, arc.end)]
+    """The endpoints of the stage-n kept arcs in ccw order, start and end of
+    each, without building the arcs (``build_fn`` and ``build_gn`` read them)."""
+    if not isinstance(n, int) or n < 0 or n > 24:
+        raise DomainError("cantor_stage: n must be an integer in [0, 24]")
+    den = 2 ** (2 * n + 1)  # every offset from pi/2 is an integer over den
+    kept = [-den // 2, den // 2]
+    for j in range(1, n + 1):
+        length = (2**j + 1) * 4 ** (n - j)  # kept_arc_measure(j) * den, left at each end
+        kept = [x for a, b in zip(kept[::2], kept[1::2]) for x in (a, a + length, b - length, b)]
+    half = Fraction(1, 2)
+    return [Angle(half, Fraction(x, den)) for x in kept]
 
 
 def build_fn(n: int) -> PiecewiseConstantBoundary:

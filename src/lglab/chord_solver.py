@@ -165,6 +165,13 @@ class ChordConfiguration:
 
         pts = np.asarray(pts, dtype=float)
         interior_radius(pts)
+        return self._labels(pts)
+
+    def _labels(self, pts: np.ndarray) -> np.ndarray:
+        """``evaluate_points`` without its guard, for callers that have run
+        ``interior_radius`` on the float array ``pts`` themselves."""
+        import numpy as np
+
         flip = np.zeros(len(pts), dtype=np.int64)
         for n, c in zip(*self._segments):
             flip += pts @ n > c

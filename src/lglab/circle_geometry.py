@@ -26,6 +26,16 @@ class DomainError(ValueError):
     """An argument left the documented domain of an operation."""
 
 
+class NestednessError(RuntimeError):
+    """Consecutive superlevel slices of a multi-level solution failed to nest
+    (raised by ``level_stack.check_nestedness``)."""
+
+    def __init__(self, t_low: float, t_high: float):
+        self.t_low = t_low
+        self.t_high = t_high
+        super().__init__(f"slice at threshold {t_high} is not contained in slice at {t_low}")
+
+
 Rational = Union[int, Fraction]
 
 # Rational enclosure of pi. PI_LO < pi < PI_HI with a gap of 1e-75.

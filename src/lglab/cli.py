@@ -16,19 +16,12 @@ from fractions import Fraction
 from numbers import Integral
 from typing import TYPE_CHECKING, List, Optional
 
-from . import __version__
-from .circle_geometry import Angle, Arc, DomainError
+from . import DEFAULT_SEED, __version__
+from .circle_geometry import Angle, Arc, DomainError, NestednessError
 from .boundary_data import PiecewiseConstantBoundary, build_fn, build_gn, opposite_caps
 from .chord_solver import ChordConfiguration, solve_binary
-from .level_stack import (
-    DEFAULT_SEED,
-    LevelSetStack,
-    NestednessError,
-    bv_energy,
-    solve_general,
-)
 
-if TYPE_CHECKING:  # imported by the commands that need it, with numpy
+if TYPE_CHECKING:  # imported by the commands that need them
     from . import analysis
 
 
@@ -171,6 +164,8 @@ def cmd_solve(args) -> int:
         solution = solve_binary(data, args.mode)
         report = {"mode": args.mode, "kind": "binary", **_config_dict(solution)}
     else:
+        from .level_stack import bv_energy, solve_general
+
         solution = solve_general(data, args.mode)
         report = {
             "mode": args.mode,
@@ -243,7 +238,7 @@ def render_svg(data: PiecewiseConstantBoundary, solution) -> str:
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    if isinstance(solution, LevelSetStack):
+    if not isinstance(solution, ChordConfiguration):  # a LevelSetStack
         n = max(len(solution.slices), 1)
         for sl in solution.slices:
             parts.extend(_render_config(sl.config, opacity=0.7 / n))
@@ -295,7 +290,7 @@ def cmd_verify(args) -> int:
 
     suites = {
         "nonexistence": lambda: analysis.cantor_nonexistence_demo(8),
-        "nonlinearity": lambda: analysis.nonlin_demo(8, seed=args.seed),
+        "nonlinearity": lambda: analysis.nonlin_demo(8),
         "nonlocality": lambda: analysis.nonlocality_demo(1, 1),
         "monotone": _suite_monotone,
         "inequalities": lambda: _merge_reports(
@@ -314,19 +309,19 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     from . import analysis
+    from .level_stack import solve_general
 
-    u = solve_general(_load_data(args.input))
-    est = analysis.trace(
-        u, args.angle, r0=args.r0, levels=args.levels, samples=args.samples, seed=args.seed
-    )
+    est = analysis.trace(solve_general(_load_data(args.input)), args.angle, r0=args.r0, levels=args.levels)
     report = {
         "point": _fmt(est.point),
         "radii": [_fmt(r) for r in est.radii],
         "averages": [_fmt(a) for a in est.averages],
-        "stderrs": [_fmt(s) for s in est.stderrs],
+        # the averages are exact: no standard error, no starved radius; both
+        # keys stay so that readers of the report find every key
+        "stderrs": [_fmt(0.0)] * len(est.radii),
         "limit": _fmt(est.limit),
         "residual": _fmt(est.residual),
-        "starved": est.starved,
+        "starved": False,
         "seed": args.seed,
         "version": __version__,
     }
@@ -379,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("angle", type=float)
     t.add_argument("--r0", type=float, default=1e-3)
     t.add_argument("--levels", type=int, default=4)
-    t.add_argument("--samples", type=int, default=4096)
     t.add_argument("--seed", type=int, default=DEFAULT_SEED)
     t.add_argument("--out", default=None)
     t.set_defaults(fn=cmd_trace)

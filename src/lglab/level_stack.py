@@ -10,10 +10,14 @@ stack.
 
 A disk function is any callable that takes an ``(n, 2)`` float array of
 points strictly inside the disk and returns ``n`` values: ``LevelSetStack``
-itself, a configuration's ``evaluate_points``, ``analysis.v_limit``, or a
-plain function.  ``l1_distance`` and ``analysis.trace`` accept exactly that.
-``LevelSetStack``, ``v_limit`` and ``evaluate_points`` reject any other
-point, NaN included, with the one guard ``chord_solver.interior_radius``.
+itself, a configuration's ``evaluate_points``, or a plain function;
+``l1_distance`` accepts exactly that.  ``LevelSetStack`` and
+``evaluate_points`` reject any other point, NaN included, with the one guard
+``chord_solver.interior_radius``, run once per call: a stack's slices label
+the points it has checked without checking them again.  The seeded
+quasirandom points of ``disk_samples`` serve ``l1_distance``, which the
+tests use as an independent check of exact areas; ``analysis.trace``
+computes its half-ball averages exactly and samples nothing.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
-from .circle_geometry import DomainError
+from . import DEFAULT_SEED
+from .circle_geometry import DomainError, NestednessError
 from .chord_solver import ChordConfiguration, interior_radius, region_subset, solve_binary
 
 if TYPE_CHECKING:  # numpy is imported where array code runs, not with the module
     import numpy as np
-
-DEFAULT_SEED = 0xC0FFEE
 
 
 def _scrambled_radical_inverse(n: int, base: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,15 +85,6 @@ def disk_samples(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     return pts
 
 
-class NestednessError(RuntimeError):
-    """Consecutive superlevel slices failed to nest."""
-
-    def __init__(self, t_low: float, t_high: float):
-        self.t_low = t_low
-        self.t_high = t_high
-        super().__init__(f"slice at threshold {t_high} is not contained in slice at {t_low}")
-
-
 @dataclass(frozen=True)
 class LevelSlice:
     """One binary slice of a stack: the solution of ``{data > lo}`` for
@@ -124,7 +118,7 @@ class LevelSetStack:
         interior_radius(pts)
         count = np.zeros(len(pts), dtype=np.int64)
         for sl in self.slices:
-            count += sl.config.evaluate_points(pts)
+            count += sl.config._labels(pts)
         return np.asarray(self.values)[count]
 
     def __repr__(self):

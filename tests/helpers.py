@@ -7,8 +7,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from lglab.analysis import cut_config
 from lglab.boundary_data import CantorStage, DiscreteConvolution, PiecewiseConstantBoundary
-from lglab.chord_solver import ENERGY_REL_TOL, ChordConfiguration, _all_matchings, transitions_of
+from lglab.chord_solver import ENERGY_REL_TOL, ChordConfiguration, _all_matchings, interior_radius, transitions_of
 from lglab.circle_geometry import (
     Angle,
     Arc,
@@ -172,3 +173,39 @@ def fsum_enumeration(data) -> tuple:
             for k in fsum_scan(lengths[table[..., 0], table[..., 1]].tolist())]
     best.sort(key=lambda c: (c.energy, c.label_area, c.matching))
     return tuple(best)
+
+
+# ---------------------------------------------------------------------------
+# sampled references for ``analysis.trace``, which computes its averages exactly
+
+def v_limit(pts: np.ndarray) -> np.ndarray:
+    """Pointwise limit of the complement solutions at points strictly inside
+    the disk: 0 inside any removed-arc segment, 1 elsewhere.  A stage-ell
+    segment reaches inward only to radius cos(4^-ell / 2), a cosine that
+    rounds to 1.0 from stage 13 on, so ``cut_config`` of the deepest stage
+    that reaches the points has the limit's labels there.  The points are
+    checked once, by ``interior_radius``."""
+    pts = np.asarray(pts, dtype=float)
+    rmax = interior_radius(pts)
+    n = 0
+    while math.cos(4.0 ** (-(n + 1)) / 2.0) <= rmax:
+        n += 1
+    return cut_config(n)._labels(pts)
+
+
+def sampled_average(u, x: float, r: float, samples: int = 4096, seed: int = 0) -> Tuple[float, float]:
+    """Monte Carlo mean of the disk function u over the half-ball B(x, r)
+    cap Omega, and its standard error: points uniform in the ball, kept
+    while strictly inside the disk, the first ``samples`` of them."""
+    rng = np.random.default_rng(seed)
+    center = np.array([math.cos(x), math.sin(x)])
+    kept, count = [], 0
+    while count < samples:
+        rho = r * np.sqrt(rng.random(samples))
+        phi = 2.0 * math.pi * rng.random(samples)
+        pts = center + rho[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 1.0]
+        kept.append(np.asarray(u(pts), dtype=float))
+        count += len(pts)
+    vals = np.concatenate(kept)[:samples]
+    return float(vals.mean()), float(vals.std()) / math.sqrt(samples)

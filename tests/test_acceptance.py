@@ -177,7 +177,7 @@ def test_criterion_08_trace_suite():
     solved += [(build_gn(n), "minimal") for n in range(1, 7)]
     solved += [(caps, "minimal"), (caps, "maximal")]
     for data, mode in solved:
-        u = solve_binary(data, mode).evaluate_points
+        u = solve_binary(data, mode)
         for ang, val in collect_trace_points(data, count=20):
             est = trace(u, ang, r0=1e-3)
             assert est.limit == val

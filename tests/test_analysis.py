@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lglab.circle_geometry import Angle, DomainError, ccw_measure
 from lglab import boundary_data
@@ -38,9 +39,8 @@ from lglab.analysis import (
     trapezoid_check,
     u_energy,
     v_energy,
-    v_limit,
 )
-from helpers import random_arc_union, shifted
+from helpers import random_arc_union, sampled_average, shifted, v_limit
 
 PCB = PiecewiseConstantBoundary
 
@@ -90,65 +90,188 @@ class TestClosedForms:
 
 class TestTrace:
     def test_constant_function(self):
-        est = trace(lambda p: np.full(len(p), 3.75), 1.0)
-        assert abs(est.limit - 3.75) < 1e-12
-        assert est.residual < 1e-12
-        assert not est.starved
+        est = trace(solve_general(PCB.constant(3.75)), 1.0)
+        assert est.averages == (3.75,) * 4
+        assert est.limit == 3.75 and est.residual == 0.0
         assert len(est.radii) == 4
 
     def test_binary_solution_is_exact_on_arc_interior(self, caps):
-        u = solve_binary(caps).evaluate_points
+        u = solve_binary(caps)
         assert trace(u, math.pi / 2).limit == 1.0
         assert trace(u, math.pi).limit == 0.0
 
     def test_deterministic(self, caps):
-        u = solve_binary(caps).evaluate_points
-        assert trace(u, 2.0, seed=9) == trace(u, 2.0, seed=9)
+        # nothing is sampled, so there is no seed to fix
+        u = solve_binary(caps)
+        assert trace(u, 2.0) == trace(u, 2.0)
+        assert trace(u, math.pi / 4) == trace(u, math.pi / 4)
+        with pytest.raises(TypeError):
+            trace(u, 2.0, seed=9)
 
-    def test_starvation_flag(self, caps):
-        u = solve_binary(caps).evaluate_points
-        est = trace(u, math.pi / 2, samples=16)
-        assert est.starved
+    def test_no_radius_above_the_floor_starves(self, caps):
+        # the sampled averages starved on radii too small to keep samples;
+        # the exact ones reach the floor, inclusive, at a chord endpoint too
+        u = solve_binary(caps)
+        floor = analysis.TRACE_MIN_RADIUS
+        assert trace(u, math.pi / 2, r0=8 * floor).averages == (1.0,) * 4
+        assert trace(u, 0.0, r0=8 * floor).averages == (0.0,) * 4
+        assert trace(u, 3 * math.pi / 4, r0=8 * floor).radii[-1] == floor
+        with pytest.raises(DomainError):
+            trace(u, 3 * math.pi / 4, r0=8 * floor, levels=5)
+        with pytest.raises(DomainError):
+            trace(u, 0.0, r0=math.nextafter(8 * floor, 0.0))
 
     def test_validation(self, caps):
-        u = solve_binary(caps).evaluate_points
+        u = solve_binary(caps)
         with pytest.raises(DomainError):
             trace(u, 1.0, r0=2.0)
         with pytest.raises(DomainError):
             trace(u, 1.0, levels=2)
+        with pytest.raises(TypeError, match="ChordConfiguration or a LevelSetStack"):
+            trace(u.evaluate_points, 1.0)
 
     @pytest.mark.parametrize("samples", [0, 1, 15])
     def test_too_few_samples_rejected(self, caps, samples):
-        # so few samples can leave a radius with no point: a nan average
-        u = solve_binary(caps).evaluate_points
-        with pytest.raises(DomainError):
-            trace(u, 1.0, samples=samples)
+        # trace samples nothing and takes no sample count
+        with pytest.raises(TypeError):
+            trace(solve_binary(caps), 1.0, samples=samples)
 
     def test_too_many_samples_rejected(self, caps):
-        # refused before an array of that size is drawn
-        u = solve_binary(caps).evaluate_points
-        with pytest.raises(DomainError, match="samples"):
-            trace(u, 1.5, samples=10**11)
+        with pytest.raises(TypeError):
+            trace(solve_binary(caps), 1.5, samples=10**11)
 
     @pytest.mark.parametrize("r0, levels", [(1e-3, 1100), (1e-300, 4)])
     def test_radius_below_double_resolution_rejected(self, caps, r0, levels):
-        # at angle 0 every point that close to (1, 0) rounds onto the circle
-        u = solve_binary(caps).evaluate_points
-        with pytest.raises(DomainError):
-            trace(u, 0.0, r0=r0, levels=levels)
+        # below the floor whether or not a chord meets the ball: angle 0 is
+        # pi/4 from the caps' nearest chord endpoint, 3 pi/4 is one
+        u = solve_binary(caps)
+        for x in (0.0, 3 * math.pi / 4):
+            with pytest.raises(DomainError, match="below 1e-09"):
+                trace(u, x, r0=r0, levels=levels)
 
     @pytest.mark.parametrize("name", ["caps", "fn2", "one"])
     def test_stack_traces_like_the_binary_solution(self, caps, name):
         # ``lglab trace`` traces solve_general(data) for binary data as well
         data = {"caps": caps, "fn2": build_fn(2), "one": PCB.constant(1.0)}[name]
-        for x, s in ((math.pi / 4, 0), (math.pi / 2, 3), (1.0, 9), (5.5, 11)):
-            stack = trace(solve_general(data), x, seed=s)
-            assert stack == trace(solve_binary(data).evaluate_points, x, seed=s)
+        ends = [x for x in data._rad] + [x + 1e-4 for x in data._rad]
+        for x in (math.pi / 4, math.pi / 2, 1.0, 5.5, *ends):
+            assert trace(solve_general(data), x) == trace(solve_binary(data), x)
 
     def test_levels_halve_radius(self, caps):
-        u = solve_binary(caps).evaluate_points
+        u = solve_binary(caps)
         est = trace(u, 0.5, r0=1e-2, levels=5)
         assert est.radii == tuple(1e-2 * 2.0**-k for k in range(5))
+
+    def test_continuity_points_give_the_data_value(self):
+        # 0.1 and 0.7 are not small dyadics: a sampled mean of equal values
+        # rounded off them
+        data = PCB([Angle(0, 0), Angle(1, 0)], [0.1, 0.7])
+        u = solve_general(data)
+        assert trace(u, 0.3).limit == 0.1
+        assert trace(u, 0.3).averages == (0.1,) * 4
+        assert trace(u, 4.0).limit == 0.7
+        assert trace(u, 4.0).averages == (0.7,) * 4
+
+    @pytest.mark.parametrize("x", [-1e-300, -3e-190, -1e-17, 0.0])
+    def test_angle_just_below_zero(self, x):
+        # x % (2 pi) rounds such an x up to 2 pi, past every breakpoint,
+        # while the diameter's endpoint at 0 splits its half-balls in two
+        data = PCB([Angle(0, 0), Angle(1, 0)], [1.0, 0.0])
+        for u in (solve_binary(data), solve_general(data)):
+            assert all(abs(a - 0.5) <= 1e-12 for a in trace(u, x).averages)
+
+    def test_large_angle_reduced_exactly(self):
+        # 1e6 rad is 159155 turns: reduced modulo the float 2 pi it would be
+        # 4e-11 off the breakpoint at exactly 1e6 rad, 40 radii at the floor
+        data = PCB([Angle(0, Fraction(10**6)), Angle(0, Fraction(10**6) + 1)], [1.0, 0.0])
+        u = solve_binary(data)
+        far, near = trace(u, 1e6, r0=8e-9), trace(u, Angle(0, 10**6).normalized().radians, r0=8e-9)
+        assert far.averages == near.averages
+        assert all(abs(a - 1 / (2 * math.pi)) < 1e-8 for a in far.averages)
+
+    def test_multilevel_average_at_a_breakpoint(self):
+        # at a diameter's endpoint each side holds half the half-ball, up to
+        # the O(r) bulge of the circle, which is the same on both sides
+        data = PCB([Angle(0, 0), Angle(1, 0)], [-2.0, 6.0])
+        est = trace(solve_general(data), math.pi, r0=1e-4)
+        assert all(abs(a - 2.0) <= 1e-12 for a in est.averages)
+
+    @pytest.mark.parametrize("theta", [0.01, 0.05, 0.25, 0.5, 1.0, 3.0, 4.0, 6.0])
+    def test_chord_endpoint_limit(self, theta):
+        """At an endpoint of the chord of a 1-arc of measure theta, the
+        segment takes the angle theta / 2 of the half-ball's pi at p, so the
+        average tends to theta / (2 pi); the circle's curvature moves it by
+        (r / (3 pi)) (theta / pi - 1) to first order, within 0.03 r / theta
+        for theta up to 0.25."""
+        data = PCB([Angle(0, Fraction(1, 3)), Angle(0, Fraction(1, 3) + Fraction(theta))], [1.0, 0.0])
+        u = solve_binary(data)
+        for x in data._rad:
+            for r0 in (8e-3, 8e-4, 8e-5, 8e-6):
+                est = trace(u, x, r0=r0)
+                for r, a in zip(est.radii, est.averages):
+                    dev = a - theta / (2 * math.pi)
+                    first = r / (3 * math.pi) * (theta / math.pi - 1)
+                    assert abs(dev - first) <= 0.05 * abs(first) + 1e-14
+                    assert theta > 0.25 or abs(dev) <= 0.03 * r / theta
+
+    @pytest.mark.parametrize("eps", [2e-4, 5e-4, 1e-3])
+    def test_nested_chords_crossing_one_ball(self, eps):
+        # chord (0, 3) holds chord (1, 2), and both cross the half-balls
+        # about transition 1: the inner segment counts with the opposite sign
+        x = 1.0
+        bps = [Angle(0, Fraction(t)) for t in (x - eps, x, x + 0.5, x + 1.0)]
+        u = ChordConfiguration(PCB(bps, [1.0, 0.0, 1.0, 0.0]), [(0, 3), (1, 2)])
+        est = trace(u, x, r0=2e-3)
+        assert all(0.05 < a < 0.95 for a in est.averages)
+        for k, (r, exact) in enumerate(zip(est.radii, est.averages)):
+            mean, se = sampled_average(u.evaluate_points, x, r, samples=100_000, seed=k)
+            assert abs(exact - mean) <= 5 * se, (r, exact, mean, se)
+
+    def test_limit_trace_matches_sampled_v_limit(self):
+        # nonlin_demo's balls: the exact averages of cut_config(12) against
+        # Monte Carlo of the limit function itself
+        limit = cut_config(12)
+        balls = [(math.pi / 2, 1e-3), (3 * math.pi / 2, 1e-3)]
+        balls += [(a.radians, 8e-4) for a in boundary_data._kept_endpoints(6)[:8]]
+        for k, (x, r0) in enumerate(balls):
+            est = trace(limit, x, r0=r0)
+            for j, (r, exact) in enumerate(zip(est.radii, est.averages)):
+                mean, se = sampled_average(v_limit, x, r, samples=20_000, seed=100 * k + j)
+                assert abs(exact - mean) <= 5 * se + 5e-4, (x, r, exact, mean, se)
+
+
+def _binary_solutions():
+    return st.builds(lambda seed, mode: solve_binary(random_binary_data(random.Random(seed), 6), mode),
+                     st.integers(0, 10**6), st.sampled_from(["minimal", "maximal"]))
+
+
+def _stacks():
+    def build(seed):
+        rng = random.Random(seed)
+        m = rng.randint(1, 5)
+        bps = [Angle(Fraction(k, 64)) for k in sorted(rng.sample(range(128), 2 * m))]
+        return solve_general(PCB(bps, [rng.choice([-1.5, 0.0, 0.25, 2.0]) for _ in bps]))
+    return st.builds(build, st.integers(0, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_binary_solutions(), _stacks()), st.integers(0, 10**6), st.floats(-6.0, 0.0),
+       st.floats(-2.0, 2.0))
+def test_exact_averages_agree_with_monte_carlo(solution, pick, log_r, shift):
+    """Half-ball averages against a test-side Monte Carlo of the solution
+    itself, at balls centred on or near a transition, so that chords cross
+    them, or anywhere when the solution is constant."""
+    if isinstance(solution, ChordConfiguration):
+        configs, values, u = [solution], (0.0, 1.0), solution.evaluate_points
+    else:
+        configs, values, u = [sl.config for sl in solution.slices], solution.values, solution
+    ends = [x for cfg in configs for x in cfg.data._rad]
+    r = 10.0**log_r * 0.5
+    x = (ends[pick % len(ends)] if ends else 0.0) + shift * r
+    est = trace(solution, x, r0=r)
+    mean, se = sampled_average(u, x, r, samples=20_000, seed=pick)
+    spread = values[-1] - values[0]
+    assert abs(est.averages[0] - mean) <= 5 * se + 5e-4 * spread
 
 
 class TestCollectTracePoints:

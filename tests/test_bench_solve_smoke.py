@@ -60,6 +60,8 @@ def test_process_instances_time_fresh_interpreters(tmp_path):
         if name == "solvecaps":
             assert out["energy"] == solve_binary(opposite_caps()).energy.hex()
             assert out["transitions"] == 4
+        elif name == "tracecaps":  # a continuity point inside a cap
+            assert out["energy"] == (1.0).hex()
         elif name in ("verifynonexist", "verifynonloc"):  # the Cantor measure, then its share in one window
             assert out["energy"] == (0.5 if name == "verifynonexist" else 0.25).hex()
         summary = bench_solve.instance_summary([out, out])

@@ -394,15 +394,31 @@ class TestTrace:
         flags = ["--levels", "3"]
         assert run(["trace", caps_path, angle, *flags]) == run(["trace", caps_path, *flags, "--", angle])
 
-    @pytest.mark.parametrize("samples", ["0", "1"])
-    def test_too_few_samples_structured_error(self, caps_path, samples):
-        # so few samples can leave a radius with no point: a nan average
-        code, out, err = run(["trace", caps_path, "1.0", "--samples", samples])
-        assert code == 1
-        assert out == ""
-        diag = json.loads(err)
-        assert diag["error"] == "DomainError"
-        assert "samples" in diag["message"]
+    @pytest.mark.parametrize("samples", ["0", "1", "4096", str(10**11)])
+    def test_samples_is_usage_error(self, caps_path, samples):
+        # the averages are exact: trace takes no sample count
+        with pytest.raises(SystemExit) as info:
+            run(["trace", caps_path, "1.0", "--samples", samples])
+        assert info.value.code == 2
+
+    def test_continuity_point_report_bytes(self, caps_path):
+        # every byte as the sampled trace printed it where no chord meets
+        # the largest half-ball: all samples then had the data value
+        want = (
+            '{"averages":["1","1","1","1"],"limit":"1","point":"1.5707963","radii":["0.001",'
+            '"0.00050000000000000001","0.00025000000000000001","0.000125"],"residual":"0","seed":5,'
+            '"starved":false,"stderrs":["0","0","0","0"],"version":"0.1.0"}\n'
+        )
+        assert run(["trace", caps_path, "1.5707963", "--seed", "5"]) == (0, want, "")
+
+    def test_near_a_chord_endpoint(self, caps_path):
+        # the caps' chord from pi/4 to 3pi/4 leaves the circle at pi/4 of
+        # its tangent, so 1e-3 inside the cap it is 7.1e-4 away: it crosses
+        # the largest half-ball only
+        rep = json.loads(run(["trace", caps_path, repr(math.pi / 4 + 1e-3)])[1])
+        avg = [float(a) for a in rep["averages"]]
+        assert 0.5 < avg[0] < 1.0 and avg[1:] == [1.0, 1.0, 1.0]
+        assert rep["limit"] == "1" and rep["stderrs"] == ["0"] * 4 and rep["starved"] is False
 
 
 def _domain_error_alone(argv):
@@ -448,10 +464,6 @@ class TestNonFiniteResults:
         # every gap and threshold is finite; the sum of the slice energies is not
         path = _data_path(tmp_path, ["-8e307", "0", "8e307", "0"], turns=("0", "1/2", "1", "3/2"))
         assert "float range" in _domain_error_alone(["solve", path])
-
-    def test_huge_sample_count(self, caps_path):
-        # refused before any array is drawn
-        assert "samples" in _domain_error_alone(["trace", caps_path, "1.5", "--samples", str(10**11)])
 
 
 def test_version_flag():
@@ -532,7 +544,19 @@ def test_import_loads_no_numpy(module):
 
 
 def test_import_defers_analysis_and_level_stack():
-    code = "import sys, lglab; print([m for m in ('lglab.analysis', 'lglab.level_stack') if m in sys.modules])"
+    for module in ("lglab", "lglab.cli"):
+        code = f"import sys, {module}; print([m for m in ('lglab.analysis', 'lglab.level_stack') if m in sys.modules])"
+        assert _python(code).strip() == "[]", module
+
+
+def test_generate_and_binary_solve_skip_level_stack(tmp_path):
+    path = str(tmp_path / "caps.json")
+    code = (
+        "import sys; from lglab.cli import main\n"
+        f"assert main(['generate', 'notconverge', '--out', {path!r}]) == 0\n"
+        f"assert main(['solve', {path!r}, '--out', {path + '.out'!r}]) == 0\n"
+        "print([m for m in ('lglab.analysis', 'lglab.level_stack') if m in sys.modules])"
+    )
     assert _python(code).strip() == "[]"
 
 
@@ -586,3 +610,30 @@ def test_generate_and_small_solves_run_without_numpy(tmp_path):
     assert all(code == 0 for code, _ in without)
     for a in sorted(tmp_path.glob("a*")):
         assert a.read_bytes() == (tmp_path / ("b" + a.name[1:])).read_bytes(), a.name
+
+
+def test_trace_runs_without_numpy(tmp_path):
+    # small data loads no numpy: the averages are plain floats, and the
+    # bytes are those of the same calls with numpy loaded
+    specs = {"caps": ["notconverge"], "f2": ["cantor-fn", "2"]}
+    paths = {}
+    for name, spec in specs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        assert run(["generate", *spec, "--out", paths[name]])[0] == 0
+    ends = {"caps": [(2 * k + 1) * math.pi / 4 for k in range(4)],
+            "f2": list(build_fn(2)._rad)}
+    calls = []
+    for name, path in paths.items():
+        for x in (0.3, 1.5707963, 3.0, 4.0, 6.0):  # continuity points
+            calls.append(["trace", path, repr(x)])
+        for e in ends[name]:  # at and next to chord endpoints
+            for dx in (0.0, 1e-5, -3e-4, 2e-3):
+                calls.append(["trace", path, repr(e + dx), "--levels", "5"])
+        calls.append(["trace", path, "1.0", "--r0", "0.5", "--seed", "3"])
+    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls)))
+    import numpy  # noqa: F401  the reference calls run here, with numpy loaded
+
+    assert without == [list(run(argv)[:2]) for argv in calls]
+    assert all(code == 0 for code, _ in without)
+    averages = {a for _, out in without for a in json.loads(out)["averages"]}
+    assert {"0", "1"} < averages  # continuity points, and crossed half-balls

@@ -131,6 +131,30 @@ class TestSolveGeneral:
         with pytest.raises(DomainError, match="strictly inside the disk"):
             stack(np.array([[0.0, 0.0], point]))
 
+    def test_evaluate_checks_points_once(self, monkeypatch):
+        # one guard at the stack's entry; the slices label the checked points
+        from lglab import chord_solver, level_stack
+
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return real(pts)
+
+        real = chord_solver.interior_radius
+        monkeypatch.setattr(chord_solver, "interior_radius", counted)
+        monkeypatch.setattr(level_stack, "interior_radius", counted)
+        data = PCB([_pi(Fraction(k, 4)) for k in range(6)], [0.0, 0.5, 1.0, 0.25, 0.75, 2.0])
+        stack = solve_general(data)
+        assert len(stack.slices) == 5
+        pts = disk_samples(300, seed=3)
+        labels = stack(pts)
+        assert calls == [300]
+        # the same labels as the guarded evaluation of every slice
+        count = sum(sl.config.evaluate_points(pts) for sl in stack.slices)
+        assert np.array_equal(labels, np.asarray(stack.values)[count])
+        assert calls == [300] * 6
+
     def test_mode_passthrough(self, caps):
         lo = solve_general(caps, "minimal")
         hi = solve_general(caps, "maximal")
