@@ -37,24 +37,23 @@ from .chord_solver import (
     transitions_of,
 )
 
-# The verification scenarios and the multi-level solutions load on first use
-# of one of their names (PEP 562): importing the package loads neither, nor
-# numpy, and generating data, solving or tracing small data never loads
-# numpy.  The CLI's default seed and its exception types live here and in
-# circle_geometry, so its entry point needs neither module.  Even
-# without numpy they cost: with PYTHONDONTWRITEBYTECODE=1 each fresh process
-# compiles them from source, about 14 ms (analysis) and 4 ms (level_stack) of
-# self time against about 45 ms for all of `import lglab` (-X importtime,
-# 8 runs, Python 3.11, 2 vCPUs).
+# The scenario drivers (analysis) and the multi-level solutions and traces
+# (level_stack) load on first use of one of their names (PEP 562): `import
+# lglab` loads neither, nor numpy or dataclasses, and generating, solving or
+# tracing small data loads no numpy.  The CLI's seed and exception types live
+# here and in circle_geometry.  With PYTHONDONTWRITEBYTECODE=1 a fresh process
+# compiles each module from source: about 5 ms (analysis) and 4 ms
+# (level_stack) of self time against 18 ms for all of `import lglab`
+# (-X importtime, medians of 8 runs, Python 3.11, 2 vCPUs).
 _LAZY = {
     "level_stack": (
-        "L1Estimate", "LevelSetStack", "LevelSlice", "bv_energy", "disk_samples", "l1_distance",
-        "solve_general",
+        "L1Estimate", "LevelSetStack", "LevelSlice", "TraceEstimate", "bv_energy", "disk_samples",
+        "l1_distance", "solve_general", "trace",
     ),
     "analysis": (
-        "ScenarioReport", "TraceEstimate", "Verdict", "cantor_nonexistence_demo",
-        "collect_trace_points", "minmax_check", "monotone_pipeline", "nonlin_demo",
-        "nonlocality_demo", "oracle_check", "sin_meanval_check", "trace", "trapezoid_check",
+        "ScenarioReport", "Verdict", "cantor_nonexistence_demo", "collect_trace_points",
+        "minmax_check", "monotone_pipeline", "nonlin_demo", "nonlocality_demo", "oracle_check",
+        "sin_meanval_check", "trapezoid_check",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .circle_geometry import (
     Angle,
@@ -247,8 +246,7 @@ def kept_arc_measure(n: int) -> Fraction:
     return length
 
 
-@dataclass(frozen=True)
-class CantorStage:
+class CantorStage(NamedTuple):
     """Stage ``n`` of the fat Cantor construction on the base arc of measure 1
     centered at pi/2.  Stage j removes the centered open arc of measure
     ``REMOVAL**j`` from each of the 2**(j-1) arcs kept so far; ``kept`` holds

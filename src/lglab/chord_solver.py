@@ -15,10 +15,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import index, itemgetter
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .circle_geometry import Angle, DomainError, chord_length
 
@@ -30,8 +29,7 @@ ENERGY_REL_TOL = 1e-12
 AREA_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A boundary angle where binary data steps 0->1 (rising) or 1->0."""
 
     angle: Angle
@@ -142,6 +140,11 @@ class ChordConfiguration:
             s = math.sin(u[j] - u[i])
             terms.append(-s if vals[i] == 1.0 else s)
         return 0.5 * math.fsum(terms)
+
+    @cached_property
+    def _partner(self) -> Dict[int, int]:
+        """Each transition's partner in the matching, for ``level_stack.trace``."""
+        return {k: m for i, j in self.matching for k, m in ((i, j), (j, i))}
 
     # -- pointwise labels ------------------------------------------------
     @cached_property

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
@@ -133,21 +132,29 @@ def _sign(pi_mult: Fraction, offset: Fraction) -> int:
         pi_lo, pi_hi = _pi_enclosure(digits)
 
 
-@dataclass(frozen=True)
 class Angle:
-    """Exact angle ``pi_mult*pi + offset`` (both parts rational)."""
+    """Exact angle ``pi_mult*pi + offset`` (both parts rational), immutable."""
 
-    pi_mult: Fraction
-    offset: Fraction = Fraction(0)
-    # computed once, then kept beside the fields (not fields themselves)
+    # computed once, then kept beside the parts (not parts themselves)
     _radians = None
     _normal = None
 
-    def __post_init__(self) -> None:
-        if type(self.pi_mult) is not Fraction:
-            object.__setattr__(self, "pi_mult", Fraction(self.pi_mult))
-        if type(self.offset) is not Fraction:
-            object.__setattr__(self, "offset", Fraction(self.offset))
+    def __init__(self, pi_mult: Rational, offset: Rational = Fraction(0)) -> None:
+        object.__setattr__(self, "pi_mult", pi_mult if type(pi_mult) is Fraction else Fraction(pi_mult))
+        object.__setattr__(self, "offset", offset if type(offset) is Fraction else Fraction(offset))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pi_mult, self.offset) == (other.pi_mult, other.offset)
+
+    def __hash__(self) -> int:
+        return hash((self.pi_mult, self.offset))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -283,19 +290,28 @@ def ccw_measure(a: Angle, b: Angle) -> Angle:
     return (b - a).normalized()
 
 
-@dataclass(frozen=True)
 class Arc:
     """Half-open arc [start, end) traversed counterclockwise on the unit circle.
 
     start == end denotes the empty arc; a full circle is not representable.
     """
 
-    start: Angle
-    end: Angle
+    def __init__(self, start: Angle, end: Angle) -> None:
+        object.__setattr__(self, "start", start.normalized())
+        object.__setattr__(self, "end", end.normalized())
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", self.start.normalized())
-        object.__setattr__(self, "end", self.end.normalized())
+    __setattr__ = __delattr__ = Angle.__setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"Arc(start={self.start!r}, end={self.end!r})"
 
     @property
     def measure(self) -> Angle:

@@ -308,10 +308,9 @@ def cmd_verify(args) -> int:
 # trace
 
 def cmd_trace(args) -> int:
-    from . import analysis
-    from .level_stack import solve_general
+    from .level_stack import solve_general, trace
 
-    est = analysis.trace(solve_general(_load_data(args.input)), args.angle, r0=args.r0, levels=args.levels)
+    est = trace(solve_general(_load_data(args.input)), args.angle, r0=args.r0, levels=args.levels)
     report = {
         "point": _fmt(est.point),
         "radii": [_fmt(r) for r in est.radii],

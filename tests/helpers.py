@@ -176,7 +176,7 @@ def fsum_enumeration(data) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sampled references for ``analysis.trace``, which computes its averages exactly
+# sampled references for ``level_stack.trace``, which computes its averages exactly
 
 def v_limit(pts: np.ndarray) -> np.ndarray:
     """Pointwise limit of the complement solutions at points strictly inside

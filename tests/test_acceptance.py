@@ -25,7 +25,7 @@ from lglab.chord_solver import (
     region_subset,
     solve_binary,
 )
-from lglab.level_stack import disk_samples
+from lglab.level_stack import disk_samples, trace
 from lglab.analysis import (
     cantor_nonexistence_demo,
     cap_config,
@@ -36,7 +36,6 @@ from lglab.analysis import (
     nonlin_demo,
     random_binary_data,
     sin_meanval_check,
-    trace,
     trapezoid_check,
     u_energy,
     v_energy,

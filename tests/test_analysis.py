@@ -19,7 +19,7 @@ from lglab.boundary_data import (
     quantize,
 )
 from lglab.chord_solver import ChordConfiguration, enumerate_optimal, solve_binary
-from lglab.level_stack import l1_distance, solve_general
+from lglab.level_stack import TRACE_MIN_RADIUS, l1_distance, solve_general, trace
 from lglab import analysis
 from lglab.analysis import (
     ENERGY_THRESHOLD,
@@ -35,7 +35,6 @@ from lglab.analysis import (
     oracle_check,
     random_binary_data,
     sin_meanval_check,
-    trace,
     trapezoid_check,
     u_energy,
     v_energy,
@@ -112,7 +111,7 @@ class TestTrace:
         # the sampled averages starved on radii too small to keep samples;
         # the exact ones reach the floor, inclusive, at a chord endpoint too
         u = solve_binary(caps)
-        floor = analysis.TRACE_MIN_RADIUS
+        floor = TRACE_MIN_RADIUS
         assert trace(u, math.pi / 2, r0=8 * floor).averages == (1.0,) * 4
         assert trace(u, 0.0, r0=8 * floor).averages == (0.0,) * 4
         assert trace(u, 3 * math.pi / 4, r0=8 * floor).radii[-1] == floor

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lglab.circle_geometry import Angle, Arc, DomainError
-from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn
+from lglab.boundary_data import PiecewiseConstantBoundary, build_fn, build_gn, cantor_stage
 from lglab.chord_solver import (
     ChordConfiguration,
     _pick,
@@ -18,8 +18,9 @@ from lglab.chord_solver import (
     solve_binary,
     transitions_of,
 )
-from lglab.analysis import cap_config, cut_config, random_binary_data
-from lglab.level_stack import disk_samples
+from lglab import level_stack
+from lglab.analysis import Verdict, cap_config, cut_config, random_binary_data
+from lglab.level_stack import disk_samples, l1_distance, solve_general, trace
 from helpers import cross_product_labels, segment_parity_area
 
 PCB = PiecewiseConstantBoundary
@@ -429,8 +430,24 @@ def test_repr_and_equality(caps):
     assert a != solve_binary(caps, "maximal")
 
 
-def test_transition_dataclass():
-    t = Transition(Angle.of_pi(Fraction(1, 4)), True)
-    assert t.rising
+@pytest.mark.parametrize("name", ["Transition", "CantorStage", "LevelSlice", "L1Estimate", "Verdict",
+                                  "TraceEstimate", "_NearChord", "Angle", "Arc"])
+def test_records_are_immutable(name, caps):
+    cfg = solve_binary(caps)
+    make = {
+        "Transition": lambda: (Transition(Angle.of_pi(Fraction(1, 4)), True), "rising"),
+        "CantorStage": lambda: (cantor_stage(1), "kept"),
+        "LevelSlice": lambda: (solve_general(caps).slices[0], "config"),
+        "L1Estimate": lambda: (l1_distance(cfg.evaluate_points, cfg.evaluate_points, 1000), "value"),
+        "Verdict": lambda: (Verdict("v", 1.0, None, True), "passed"),
+        "TraceEstimate": lambda: (trace(cfg, 1.0), "limit"),
+        "_NearChord": lambda: (level_stack._near_chords(cfg, math.pi / 4, 1e-3)[1][0], "dist"),
+        "Angle": lambda: (Angle(1), "offset"),
+        "Arc": lambda: (Arc(Angle(0), Angle(1)), "end"),
+    }
+    record, field = make[name]()
+    assert type(record).__name__ == name
+    value = getattr(record, field)
     with pytest.raises(AttributeError):
-        t.rising = False
+        setattr(record, field, value)
+    assert getattr(record, field) is value

@@ -72,6 +72,21 @@ class TestAngle:
         assert a == Angle(Fraction(1), Fraction(1, 2))
         assert hash(a) == hash(Angle(Fraction(1), Fraction(1, 2)))
 
+    def test_equal_and_hashed_as_the_pair_of_parts(self):
+        a = Angle(1)
+        assert a == Angle(Fraction(1), 0)
+        assert hash(a) == hash((a.pi_mult, a.offset)) == hash((Fraction(1), Fraction(0)))
+        assert a.__eq__((a.pi_mult, a.offset)) is NotImplemented
+        assert a != (a.pi_mult, a.offset)
+
+    def test_arc_normalizes_its_ends(self):
+        arc = Arc(Angle(Fraction(-1, 2)), Angle(Fraction(5, 2)))
+        assert (arc.start, arc.end) == (Angle(Fraction(3, 2)), Angle(Fraction(1, 2)))
+        assert arc == Arc(Angle(Fraction(3, 2)), Angle(Fraction(1, 2)))
+        assert hash(arc) == hash((arc.start, arc.end))
+        assert arc.__eq__((arc.start, arc.end)) is NotImplemented
+        assert repr(arc) == "Arc(start=Angle(3/2*pi + 0), end=Angle(1/2*pi + 0))"
+
     def test_normalized_keeps_an_angle_in_range(self):
         a = Angle(Fraction(3, 2), Fraction(1, 7))
         assert a.normalized() is a

@@ -525,7 +525,8 @@ def test_deeply_nested_arcs_spec_exit_2():
 
 
 # ---------------------------------------------------------------------------
-# numpy stays off the import path, and off generate and small binary solves
+# numpy and dataclasses stay off the import path, and off generate, small
+# binary solves and trace; trace does not load the scenario drivers either
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -539,7 +540,7 @@ def _python(code, *args):
 
 @pytest.mark.parametrize("module", ["lglab", "lglab.cli"])
 def test_import_loads_no_numpy(module):
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'dataclasses')))"
     assert _python(code).strip() == "[]"
 
 
@@ -574,10 +575,11 @@ def test_package_names_resolve():
         lglab.nowhere
 
 
-# each call's exit code and stdout, run in one process where numpy cannot be imported
+# each call's exit code and stdout, run in one process where neither numpy,
+# dataclasses nor the scenario drivers can be imported
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
+sys.modules["numpy"] = sys.modules["dataclasses"] = sys.modules["lglab.analysis"] = None
 from lglab.cli import main
 outs = []
 for argv in json.loads(sys.argv[1]):

@@ -131,13 +131,15 @@ def test_tied_numpy_solve_refills_in_full(monkeypatch):
                                   lambda: _numpy_sized(24, 12, 0)])
 def test_kept_fill_makes_no_reference_cycle(make):
     # without the cycle collector, dropping the data and its solutions must
-    # free the data (a weak reference to a transition it owns shows it)
-    data = _fresh(make())
+    # free the data (a weak reference to a breakpoint angle that only the
+    # data holds shows it)
+    src = make()
+    data = PiecewiseConstantBoundary([Angle(b.pi_mult, b.offset) for b in src.breakpoints], src.values)
     gc.collect()
     gc.disable()
     try:
         configs = [solve_binary(data, mode) for mode in MODES + MODES]
-        owned = weakref.ref(transitions_of(data)[0])
+        owned = weakref.ref(data.breakpoints[0])
         del data, configs
         assert owned() is None
     finally:
