@@ -29,16 +29,17 @@ configuration (``analysis.cut_config(6)``, 126 transitions) on 200k
 computes its averages exactly and reads no samples).  ``buildgn11`` times the construction itself: the call is
 ``build_gn(11)``, the complement datum of Cantor stage 11 with 4094
 breakpoints, and its check value is the ``fsum`` of their radians.  The
-call is chosen by the instance name.  Six more instances time a whole
+call is chosen by the instance name.  Seven more instances time a whole
 fresh interpreter instead of one call in it: ``import`` runs
 ``python -c "import lglab"``, ``solvecaps`` runs ``lglab solve`` on the
 opposite caps (written once by the first tree's ``lglab generate
 notconverge``), ``tracecaps`` runs ``lglab trace`` on them at the
 continuity point ``TRACE_ANGLE`` (about pi/2, inside a cap), and
-``verifynonlin``, ``verifynonexist`` and ``verifynonloc`` run ``lglab
-verify`` of the suites ``nonlinearity`` (whose limit traces read the cut
-configuration of stage 12), ``nonexistence`` and ``nonlocality``, so each
-includes the interpreter's start and the package import.
+``verifynonlin``, ``verifynonexist``, ``verifynonloc`` and ``verifymono``
+run ``lglab verify`` of the suites ``nonlinearity`` (whose limit traces
+read the cut configuration of stage 12), ``nonexistence``, ``nonlocality``
+and ``monotone``, so each includes the interpreter's start and the package
+import.
 
 The first call in each process is cold: it pays first-use costs such as
 numpy's call caches and the matching tables, but not numpy's import, which
@@ -48,7 +49,7 @@ times the same call again, warm.
 
 The output file records, per tree and instance, the median and the
 interquartile range of the cold (``solve_s``) and warm (``warm_s``) times
-and of the peak RSS, or of the process time (``wall_s``) for the six
+and of the peak RSS, or of the process time (``wall_s``) for the seven
 process instances, the raw runs, the host, and each tree's ``src/`` line
 count.
 """
@@ -71,9 +72,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ("lattice200", "gn8", "gn9", "lattice1000", "lattice2000", "enum16q8", "enum16q2048",
              "load200", "buildgn11", "oracle8q12", "oracle16q8", "oracle24q12", "evalcut6", "import", "solvecaps",
-             "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc")
-PROCESS_INSTANCES = ("import", "solvecaps", "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc")
-VERIFY_SUITES = {"verifynonlin": "nonlinearity", "verifynonexist": "nonexistence", "verifynonloc": "nonlocality"}
+             "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc", "verifymono")
+PROCESS_INSTANCES = ("import", "solvecaps", "tracecaps", "verifynonlin", "verifynonexist", "verifynonloc",
+                     "verifymono")
+VERIFY_SUITES = {"verifynonlin": "nonlinearity", "verifynonexist": "nonexistence", "verifynonloc": "nonlocality",
+                 "verifymono": "monotone"}
 CLI_SHIM = "import sys; from lglab.cli import main; sys.exit(main())"  # the console script
 LATTICE_SEED = 20261018
 LATTICE_Q = 4096
@@ -191,7 +194,8 @@ def run_process(src: Path, name: str, caps: Path) -> dict:
     ``tracecaps``) or runs one ``lglab verify`` suite (``VERIFY_SUITES``);
     the check value is the reported energy, the trace's limit, or the value
     of the last verdict (for ``verifynonlin`` the worst sector average of
-    the limit's traces)."""
+    the limit's traces, for ``verifymono`` the word that classifies the
+    caps' dilated limit, kept as it is)."""
     if name in VERIFY_SUITES:
         argv = ["-c", CLI_SHIM, "verify", VERIFY_SUITES[name]]
     else:
@@ -205,7 +209,8 @@ def run_process(src: Path, name: str, caps: Path) -> dict:
         return {"wall_s": wall_s, "transitions": 0, "energy": None}
     report = json.loads(out.stdout)
     if name in VERIFY_SUITES:
-        return {"wall_s": wall_s, "transitions": 0, "energy": float(report["verdicts"][-1]["value"]).hex()}
+        value = report["verdicts"][-1]["value"]
+        return {"wall_s": wall_s, "transitions": 0, "energy": value if name == "verifymono" else float(value).hex()}
     if name == "tracecaps":
         return {"wall_s": wall_s, "transitions": 0, "energy": float(report["limit"]).hex()}
     return {"wall_s": wall_s, "transitions": len(report["transition_angles"]),

@@ -4,12 +4,13 @@ Everything here reduces to three ingredients: closed-form energies of the
 Cantor-type boundary families, boundary traces from exact half-ball
 averages, ``level_stack.trace``, and exact containment of solution regions,
 ``chord_solver.region_subset``, read off the circular order of the chord
-endpoints.  Each driver returns a
-ScenarioReport whose verdicts carry the tolerance they were judged against,
-so a report is a self-contained pass/fail record.  Only ``oracle_check``
-draws random numbers, from its own seeded generator; a report carries no
-seed, and the CLI writes the seed of the run into every report it prints.
-numpy is imported by the two grid checks that use it, not with the module.
+endpoints; the monotone pipeline moves breakpoints in exact ``Angle``
+arithmetic.  Each driver returns a ScenarioReport whose verdicts carry the
+tolerance they were judged against, so a report is a self-contained
+pass/fail record.  Only ``oracle_check`` draws random numbers, from its own
+seeded generator; a report carries no seed, and the CLI writes the seed of
+the run into every report it prints.  numpy is imported by the two grid
+checks that use it, not with the module.
 """
 
 from __future__ import annotations
@@ -20,19 +21,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .circle_geometry import Angle, Arc, DomainError, segment_area
+from .circle_geometry import Angle, Arc, DomainError, ccw_measure, segment_area
 from .boundary_data import (
-    BISECT_TOL,
     PiecewiseConstantBoundary,
     _kept_endpoints,
     build_fn,
     build_gn,
     cantor_measure_limit,
-    eta_minus,
-    eta_plus,
     kept_arc_measure,
     opposite_caps,
-    quantize,
 )
 from .chord_solver import (
     ChordConfiguration,
@@ -374,13 +371,12 @@ def nonlocality_demo(k: int, m: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 # monotone approximation pipeline
 
-def _arc_gaps_and_lengths(data: PiecewiseConstantBoundary) -> Tuple[float, float]:
-    arcs = data.support_arcs(1.0)
-    lens = [a.measure_radians for a in arcs]
-    gaps = []
-    for cur, nxt in zip(arcs, arcs[1:] + (arcs[0],)):
-        gaps.append((nxt.start.normalized() - cur.end.normalized()).normalized().radians)
-    return min(gaps), min(lens)
+def _move_edges(data: PiecewiseConstantBoundary, s: Angle) -> PiecewiseConstantBoundary:
+    """Binary ``data`` with every rising breakpoint (value 1 after it) moved by +s and every
+    falling one by -s: for s = eps/2 exactly the level-1/2 projection of the ramp
+    ``eta_minus(data, eps)``, and for s = -eps/2 that of ``eta_plus(data, eps)``."""
+    moved = [b + s if v else b - s for b, v in zip(data.breakpoints, data.values)]
+    return PiecewiseConstantBoundary(moved, data.values)
 
 
 def monotone_pipeline(
@@ -390,8 +386,9 @@ def monotone_pipeline(
 ) -> ScenarioReport:
     """Sandwich the target solution between eroded and dilated regularizations.
 
-    For shrinking widths eps_k the eroded data g_k and dilated data h_k are
-    quantized back to binary, solved, and the containment chain
+    For shrinking widths eps_k the eroded data g_k and dilated data h_k,
+    the level-1/2 sets of the ramps ``eta_minus`` and ``eta_plus``, are built
+    exactly by ``_move_edges``, solved, and the containment chain
     u_k <= u_{k+1} <= v_{k+1} <= v_k and the sandwich
     u_k <= u_min <= u_max <= v_k are certified region by region.  Every
     distance reported is between two regions the sandwich proves nested, so
@@ -401,27 +398,27 @@ def monotone_pipeline(
     """
     if not data.is_binary:
         raise DomainError("pipeline input must be binary data")
-    if k_max < 1:
-        raise DomainError("need at least two widths to test monotonicity")
+    if not isinstance(k_max, int) or k_max < 1:
+        raise DomainError(f"k_max must be an integer of at least 1 (two widths test monotonicity), got {k_max!r}")
     rep = ScenarioReport("monotone-pipeline")
     if data.is_constant:
         rep.add("constant data solves trivially", True, None, True)
         return rep
-    min_gap, min_len = _arc_gaps_and_lengths(data)
+    bps = data.breakpoints  # binary arcs alternate between 1 and 0, so min_arc is min(gap, length)
+    min_arc = min(ccw_measure(a, b).radians for a, b in zip(bps, bps[1:] + bps[:1]))
     if eps0 is None:
-        eps0 = min(0.45 * min_gap, 0.45 * min_len, 2e-3)
+        eps0 = min(0.45 * min_arc, 2e-3)
     rep.details["eps0"] = eps0
-    if not (0.0 < eps0 < min(min_gap, min_len) / 2.0):
+    if not (0.0 < eps0 < min_arc / 2.0):
         raise DomainError("eps0 must keep arcs and gaps from degenerating")
-    if eps0 * 2.0 ** -k_max < 100 * BISECT_TOL:  # quantize's crossings stop halving the distances
-        raise DomainError(f"eps0 * 2**-k_max is below {100 * BISECT_TOL:g}, too narrow for quantize to resolve")
+    if eps0 * 2.0 ** -k_max < 1e-10:
+        raise DomainError(
+            "eps0 * 2**-k_max is below 1e-10, where float angles and label areas no longer resolve the halving")
     us, vs = [], []
     for k in range(k_max + 1):
-        eps = eps0 * 2.0 ** (-k)
-        gk = quantize(eta_minus(data, eps), (0.0, 1.0))
-        hk = quantize(eta_plus(data, eps), (0.0, 1.0))
-        us.append(solve_binary(gk))
-        vs.append(solve_binary(hk))
+        s = Angle.of_radians(Fraction(eps0 * 2.0 ** (-k) / 2))
+        us.append(solve_binary(_move_edges(data, s)))
+        vs.append(solve_binary(_move_edges(data, -s)))
     chain_ok = True
     for k in range(k_max):
         chain_ok = (

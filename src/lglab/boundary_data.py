@@ -127,6 +127,8 @@ class PiecewiseConstantBoundary:
 
     # -- evaluation -----------------------------------------------------
     def value_at(self, angle: Union[Angle, float]) -> float:
+        if not isinstance(angle, Angle) and not math.isfinite(angle):
+            raise DomainError(f"value_at: angle must be finite, got {angle!r}")
         if self.is_constant:
             return self.values[0]
         if isinstance(angle, Angle):

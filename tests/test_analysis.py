@@ -495,12 +495,38 @@ class TestMonotonePipeline:
             monotone_pipeline(caps, 2, eps0=2.0)
 
     def test_unresolvable_eps_raises(self, caps):
-        # below quantize's resolution every eroded stage solves alike, and the
-        # report would fail its monotone verdict for the wrong reason
+        # below the floor the float angles and label areas stop resolving the
+        # halving, and the report would fail its monotone verdict for the
+        # wrong reason
         for eps0 in (1e-12, 1e-300):
-            with pytest.raises(DomainError, match="too narrow for quantize"):
+            with pytest.raises(DomainError, match="no longer resolve the halving"):
                 monotone_pipeline(caps, 2, eps0=eps0)
         assert monotone_pipeline(caps, 2).passed
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", None])
+    def test_non_integer_k_max_raises(self, caps, k_max):
+        with pytest.raises(DomainError, match="k_max must be an integer"):
+            monotone_pipeline(caps, k_max)
+
+    def test_moves_are_the_quantized_ramps(self):
+        # the two inputs of ``lglab verify monotone`` at their six widths,
+        # then ACCEPTANCE 9's random arc unions at their four
+        bps = [Angle(Fraction(x), 0) for x in ("1/4", "3/4", "9/8", "7/4")]
+        cases = [(PCB(bps, [1.0, 0.0, 1.0, 0.0]), 5), (opposite_caps(), 5)]
+        rng = random.Random(90210)
+        cases += [(random_arc_union(rng), 3) for _ in range(20)]
+        for data, k_max in cases:
+            eps0 = monotone_pipeline(data, k_max).details["eps0"]
+            for k in range(k_max + 1):
+                eps = eps0 * 2.0 ** (-k)
+                s = Angle.of_radians(Fraction(eps / 2))
+                for move, ramp in ((s, boundary_data.eta_minus), (-s, boundary_data.eta_plus)):
+                    got = analysis._move_edges(data, move)
+                    want = quantize(ramp(data, eps), (0.0, 1.0))
+                    assert got.values == want.values
+                    assert len(got.breakpoints) == len(want.breakpoints) == len(data.breakpoints)
+                    for a, b in zip(got.breakpoints, want.breakpoints):
+                        assert abs(math.remainder((a - b).radians, math.tau)) <= boundary_data.BISECT_TOL
 
 
 def _lattice_pair(rng: random.Random, q: int):

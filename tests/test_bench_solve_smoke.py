@@ -64,6 +64,8 @@ def test_process_instances_time_fresh_interpreters(tmp_path):
             assert out["energy"] == (1.0).hex()
         elif name in ("verifynonexist", "verifynonloc"):  # the Cantor measure, then its share in one window
             assert out["energy"] == (0.5 if name == "verifynonexist" else 0.25).hex()
+        elif name == "verifymono":  # the caps' dilated solutions stall on the maximal one
+            assert out["energy"] == "maximal"
         summary = bench_solve.instance_summary([out, out])
         assert summary["runs_wall_s"] == [round(out["wall_s"], 4)] * 2
         assert "solve_s" not in summary

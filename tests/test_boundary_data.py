@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -108,6 +109,14 @@ class TestEvaluation:
         many = caps(th)
         one = [caps.value_at(float(t)) for t in th]
         assert np.array_equal(many, one)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("data", [opposite_caps(), PCB.constant(1.0)], ids=["caps", "constant"])
+    def test_value_at_rejects_non_finite(self, data, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                data.value_at(x)
 
     def test_superlevel(self):
         data = PCB([_pi(0), _pi("1/2"), _pi(1)], [0.0, 0.5, 1.0])

@@ -575,11 +575,12 @@ def test_package_names_resolve():
         lglab.nowhere
 
 
-# each call's exit code and stdout, run in one process where neither numpy,
-# dataclasses nor the scenario drivers can be imported
+# each call's exit code and stdout, run in one process where none of the
+# modules named after the calls can be imported
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = sys.modules["dataclasses"] = sys.modules["lglab.analysis"] = None
+for name in sys.argv[2:]:
+    sys.modules[name] = None
 from lglab.cli import main
 outs = []
 for argv in json.loads(sys.argv[1]):
@@ -588,6 +589,7 @@ for argv in json.loads(sys.argv[1]):
         outs.append([main(argv), buf.getvalue()])
 print(json.dumps(outs))
 """
+_NO_NUMPY_NOR_DRIVERS = ("numpy", "dataclasses", "lglab.analysis")
 
 
 def test_generate_and_small_solves_run_without_numpy(tmp_path):
@@ -604,7 +606,7 @@ def test_generate_and_small_solves_run_without_numpy(tmp_path):
                         ["solve", path, "--mode", mode, "--render", str(tmp_path / f"{tag}{k}{mode}.svg")]]
         return out
 
-    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls("a"))))
+    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls("a")), *_NO_NUMPY_NOR_DRIVERS))
     import numpy  # noqa: F401  the reference calls run here, with numpy loaded
 
     with_numpy = [list(run(argv)[:2]) for argv in calls("b")]
@@ -632,10 +634,23 @@ def test_trace_runs_without_numpy(tmp_path):
             for dx in (0.0, 1e-5, -3e-4, 2e-3):
                 calls.append(["trace", path, repr(e + dx), "--levels", "5"])
         calls.append(["trace", path, "1.0", "--r0", "0.5", "--seed", "3"])
-    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls)))
+    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls), *_NO_NUMPY_NOR_DRIVERS))
     import numpy  # noqa: F401  the reference calls run here, with numpy loaded
 
     assert without == [list(run(argv)[:2]) for argv in calls]
     assert all(code == 0 for code, _ in without)
     averages = {a for _, out in without for a in json.loads(out)["averages"]}
     assert {"0", "1"} < averages  # continuity points, and crossed half-balls
+
+
+def test_verify_monotone_runs_without_numpy():
+    # the sandwich moves breakpoints in exact angles and solves four-transition
+    # data, so no step needs numpy; the bytes are those of the same calls with
+    # numpy loaded
+    calls = [["verify", "monotone"]] + [["verify", "monotone", "--seed", s] for s in ("1", "7")]
+    without = json.loads(_python(_WITHOUT_NUMPY, json.dumps(calls), "numpy", "dataclasses"))
+    import numpy  # noqa: F401  the reference calls run here, with numpy loaded
+
+    assert without == [list(run(argv)[:2]) for argv in calls]
+    assert all(code == 0 for code, _ in without)
+    assert all(v["pass"] for _, out in without for v in json.loads(out)["verdicts"])
